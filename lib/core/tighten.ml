@@ -10,6 +10,7 @@ let m_lps = Metrics.counter "tighten.lps"
 
 type stats = {
   lps_solved : int;
+  pivots : int;
   dims_tightened : int;
   dims_skipped : int;
   width_before : float;
@@ -93,9 +94,11 @@ let feature_box ?time_limit_s ?deadline ?shared ~suffix ~head ~feature_box
         Interval.make ~lo ~hi)
       feature_box
   in
+  Simplex.release handle;
   let stats =
     {
       lps_solved = !lps;
+      pivots = (Simplex.counters handle).Simplex.pivots;
       dims_tightened = !tightened;
       dims_skipped = !skipped;
       width_before = Box_domain.mean_width feature_box;

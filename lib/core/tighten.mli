@@ -11,6 +11,7 @@
 
 type stats = {
   lps_solved : int;
+  pivots : int;          (** simplex pivots across all [lps_solved] LPs *)
   dims_tightened : int;
   dims_skipped : int;    (** coordinates left untouched by the deadline *)
   width_before : float;  (** mean width of the incoming box *)

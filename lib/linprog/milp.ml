@@ -435,6 +435,7 @@ let solve_with_stats ?(options = default_options) model =
   max_depth := 1;
   explore [ model ] 1;
   let c = Simplex.counters handle in
+  Simplex.release handle;
   let gd =
     match options.absint with
     | None -> empty_guide_stats

@@ -284,6 +284,7 @@ let solve_parallel ~(options : Milp.options) model =
       | None -> ()
       | Some h ->
           let c = Simplex.counters h in
+          Simplex.release h;
           pivots := !pivots + c.Simplex.pivots;
           warm := !warm + c.Simplex.warm_starts;
           cold := !cold + c.Simplex.cold_starts;

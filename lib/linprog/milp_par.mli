@@ -16,7 +16,8 @@
     stack (spilling its shallowest open subtrees back to the pool for
     thieves, re-enqueueing the rest when the batch budget runs out), so
     pool overhead is paid once per batch and consecutive LPs reuse the
-    worker's warm simplex basis and its refactorization scratch arena.
+    worker's warm simplex basis (and the domain's refactorization
+    arena).
     [task_batch = 1] restores one-node tasks.
 
     With [options.workers = 1] this module defers to

@@ -320,13 +320,22 @@ let solve_dense ?(tol = 1e-9) model =
 (*                                                                       *)
 (* The basis inverse is kept explicitly (m x m, row-major) and updated   *)
 (* in product form on each pivot, with a full refactorization every 64   *)
-(* pivots to keep drift in check.  Cold starts run a zero-cost dual      *)
-(* phase from the all-slack basis (with c = 0 every basis is dual        *)
-(* feasible, so dual simplex is a pure primal-infeasibility chaser),     *)
-(* then the primal phase with the real costs.  Warm starts after a       *)
-(* bound change keep the old basis dual feasible and run dual simplex;   *)
-(* warm starts after an objective change keep it primal feasible and     *)
-(* run primal simplex.                                                   *)
+(* pivots to keep drift in check.  Each kernel pays only for nonzero     *)
+(* work: the product-form update and both Gauss-Jordan sweeps of a       *)
+(* refactorization run over the recorded support of the normalized pivot *)
+(* row, and reduced costs price only the basic rows with a nonzero cost  *)
+(* (there are none in a zero-objective verification MILP, whose reduced  *)
+(* costs are then the cost vector itself).  Every skipped term is an     *)
+(* exact zero, so each nonzero floating-point operation keeps its order  *)
+(* and pivot choices never change.  The two m x m refactorization        *)
+(* matrices live in a grow-only per-domain arena, not in the handle, and *)
+(* [release] hands a finished handle's B^-1 to the next [create] on its  *)
+(* domain.  Cold starts run a zero-cost dual phase from the all-slack    *)
+(* basis (with c = 0 every basis is dual feasible, so dual simplex is a  *)
+(* pure primal-infeasibility chaser), then the primal phase with the     *)
+(* real costs.  Warm starts after a bound change keep the old basis dual *)
+(* feasible and run dual simplex; warm starts after an objective change  *)
+(* keep it primal feasible and run primal simplex.                       *)
 (* ===================================================================== *)
 
 exception Numerical_trouble of string
@@ -351,14 +360,13 @@ type handle = {
   basis : int array;               (* m: column basic in row i *)
   in_row : int array;              (* ncols: row where basic, or -1 *)
   at_upper : bool array;           (* ncols: nonbasic rests at upper *)
-  binv : float array array;        (* m x m; binv.(r) is row r of B^-1 *)
+  mutable binv : float array array; (* >= m x m; binv.(r) is row r of B^-1 *)
   xb : float array;                (* m: values of basic variables *)
   d : float array;                 (* ncols: reduced costs *)
   alpha : float array;             (* scratch m: ftran of a column *)
   w : float array;                 (* scratch m *)
   yrow : float array;              (* scratch m *)
-  scr_bmat : float array array;    (* scratch m x m: refactorization *)
-  scr_inv : float array array;     (* scratch m x m: refactorization *)
+  supp : int array;                (* scratch m: pivot-row support *)
   tol : float;
   base : Lp.t;                     (* model as given to [create] *)
   mutable obj_sense : Lp.objective_sense;
@@ -393,6 +401,32 @@ let normalize_status h j =
   if h.at_upper.(j) && h.up.(j) = infinity then h.at_upper.(j) <- false;
   if (not h.at_upper.(j)) && h.lo.(j) = neg_infinity && h.up.(j) < infinity
   then h.at_upper.(j) <- true
+
+(* Grow-only per-domain storage slots, each an atomic cell: [take_slot]
+   empties the cell, so a reentrant caller (a second systhread on the
+   same domain) allocates its own storage instead of sharing it, and
+   [put_slot] keeps the larger of what it is given and what it holds.
+   [size] is the row count of the square matrices kept. *)
+let new_slot () = Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let take_slot key ~size m alloc =
+  match Atomic.exchange (Domain.DLS.get key) None with
+  | Some x when size x >= m -> x
+  | _ -> alloc m
+
+let put_slot key ~size x =
+  let cell = Domain.DLS.get key in
+  match Atomic.get cell with
+  | Some held when size held >= size x -> ()
+  | _ -> Atomic.set cell (Some x)
+
+let square m = Array.init m (fun _ -> Array.make m 0.0)
+
+(* B^-1 storage handed back by [release], reused by the next [create]
+   on the domain.  Every row in use is overwritten by [reset_basis]
+   before the first solve. *)
+let spare_binv : float array array option Atomic.t Domain.DLS.key =
+  new_slot ()
 
 let create ?(tol = 1e-9) model =
   let n = Lp.num_vars model in
@@ -450,14 +484,13 @@ let create ?(tol = 1e-9) model =
     basis = Array.make m (-1);
     in_row = Array.make ncols (-1);
     at_upper = Array.make ncols false;
-    binv = Array.init m (fun _ -> Array.make m 0.0);
+    binv = take_slot spare_binv ~size:Array.length m square;
     xb = Array.make m 0.0;
     d = Array.make ncols 0.0;
     alpha = Array.make m 0.0;
     w = Array.make m 0.0;
     yrow = Array.make m 0.0;
-    scr_bmat = Array.init m (fun _ -> Array.make m 0.0);
-    scr_inv = Array.init m (fun _ -> Array.make m 0.0);
+    supp = Array.make m 0;
     tol;
     base = model;
     obj_sense;
@@ -495,28 +528,37 @@ let compute_xb h =
   done
 
 (* Reduced costs d = c - c_B B^-1 A, from scratch (exact recomputation
-   after every pivot keeps warm-start dual-feasibility checks honest). *)
+   after every pivot keeps warm-start dual-feasibility checks honest).
+   y = c_B B^-1 accumulates row by row over the basic rows with a
+   nonzero cost, which adds each entry's terms in increasing row order.
+   With no such row y = 0 and d = c (basic costs are then all zero). *)
 let compute_d h =
   let y = h.yrow in
-  for j = 0 to h.m - 1 do
-    let acc = ref 0.0 in
-    for i = 0 to h.m - 1 do
-      let cb = h.cost.(h.basis.(i)) in
-      if cb <> 0.0 then acc := !acc +. (cb *. h.binv.(i).(j))
-    done;
-    y.(j) <- !acc
-  done;
-  for j = 0 to h.ncols - 1 do
-    if h.in_row.(j) >= 0 then h.d.(j) <- 0.0
-    else begin
-      let rows = h.col_rows.(j) and coefs = h.col_coefs.(j) in
-      let acc = ref h.cost.(j) in
-      for k = 0 to Array.length rows - 1 do
-        acc := !acc -. (y.(rows.(k)) *. coefs.(k))
-      done;
-      h.d.(j) <- !acc
+  Array.fill y 0 h.m 0.0;
+  let priced = ref false in
+  for i = 0 to h.m - 1 do
+    let cb = h.cost.(h.basis.(i)) in
+    if cb <> 0.0 then begin
+      priced := true;
+      let bi = h.binv.(i) in
+      for j = 0 to h.m - 1 do
+        y.(j) <- y.(j) +. (cb *. bi.(j))
+      done
     end
-  done
+  done;
+  if not !priced then Array.blit h.cost 0 h.d 0 h.ncols
+  else
+    for j = 0 to h.ncols - 1 do
+      if h.in_row.(j) >= 0 then h.d.(j) <- 0.0
+      else begin
+        let rows = h.col_rows.(j) and coefs = h.col_coefs.(j) in
+        let acc = ref h.cost.(j) in
+        for k = 0 to Array.length rows - 1 do
+          acc := !acc -. (y.(rows.(k)) *. coefs.(k))
+        done;
+        h.d.(j) <- !acc
+      end
+    done
 
 (* alpha = B^-1 A_j. *)
 let ftran h j =
@@ -539,23 +581,58 @@ let row_dot_col h beta j =
   done;
   !acc
 
-(* Rebuild B^-1 from the basis by Gauss-Jordan with partial pivoting,
-   then recompute xb exactly.  Raises on a (numerically) singular basis. *)
-let refactorize h =
-  if Faults.fire Faults.Refactor_singular then
-    raise (Numerical_trouble "injected singular refactorization");
-  let trace_t0 = Dpv_obs.Trace.begin_ns () in
+(* Divide [row.(0 .. m-1)] by [piv] in place and record the indices of
+   its nonzero entries in [supp]; returns their count.  Zero entries are
+   left alone: dividing one would at most flip its sign. *)
+let scale_support row m piv supp =
+  let n = ref 0 in
+  for k = 0 to m - 1 do
+    let v = row.(k) in
+    if v <> 0.0 then begin
+      row.(k) <- v /. piv;
+      supp.(!n) <- k;
+      incr n
+    end
+  done;
+  !n
+
+(* dst <- dst - f * src over the first [n] indices of [supp]: outside the
+   support src is zero and the update would leave dst's value as is. *)
+let sub_scaled_support dst f src supp n =
+  for s = 0 to n - 1 do
+    let k = supp.(s) in
+    dst.(k) <- dst.(k) -. (f *. src.(k))
+  done
+
+(* Refactorization scratch: B and its inverse under elimination plus the
+   supports of their current pivot rows, at least m x m.  One per
+   domain: [refactorize] takes it out of its slot on entry and puts it
+   back on every exit.  Row swaps permute the row references inside the
+   arena; every row in use is fully overwritten at the top of each
+   call, so the permutation is harmless. *)
+type arena = {
+  bmat : float array array;
+  inv : float array array;
+  bsupp : int array;
+  isupp : int array;
+}
+
+let arena_slot : arena option Atomic.t Domain.DLS.key = new_slot ()
+let arena_size a = Array.length a.bmat
+
+let new_arena m =
+  {
+    bmat = square m;
+    inv = square m;
+    bsupp = Array.make m 0;
+    isupp = Array.make m 0;
+  }
+
+(* Gauss-Jordan with partial pivoting of B into [a.inv], copied to
+   B^-1.  Raises on a (numerically) singular basis. *)
+let invert_basis h a =
   let m = h.m in
-  (* The handle owns one worker-local scratch arena for these two m x m
-     matrices: refactorization runs every [refactor_every] pivots per
-     handle, and with batched subtree tasks each pool worker holds one
-     handle, so reusing the arrays here removes the dominant per-worker
-     allocation of the parallel search.  Row swaps below permute the
-     row references inside the scratch arrays; every row is fully
-     overwritten at the top of each call, so the permutation is
-     harmless. *)
-  let bmat = h.scr_bmat in
-  let inv = h.scr_inv in
+  let bmat = a.bmat and inv = a.inv in
   for i = 0 to m - 1 do
     Array.fill bmat.(i) 0 m 0.0;
     Array.fill inv.(i) 0 m 0.0;
@@ -585,26 +662,33 @@ let refactorize h =
     end;
     let piv = bmat.(c).(c) in
     let brow = bmat.(c) and irow = inv.(c) in
-    for j = 0 to m - 1 do
-      brow.(j) <- brow.(j) /. piv;
-      irow.(j) <- irow.(j) /. piv
-    done;
+    let nb = scale_support brow m piv a.bsupp in
+    let ni = scale_support irow m piv a.isupp in
     for i = 0 to m - 1 do
       if i <> c then begin
         let f = bmat.(i).(c) in
         if f <> 0.0 then begin
-          let bi = bmat.(i) and ii = inv.(i) in
-          for j = 0 to m - 1 do
-            bi.(j) <- bi.(j) -. (f *. brow.(j));
-            ii.(j) <- ii.(j) -. (f *. irow.(j))
-          done
+          sub_scaled_support bmat.(i) f brow a.bsupp nb;
+          sub_scaled_support inv.(i) f irow a.isupp ni
         end
       end
     done
   done;
   for i = 0 to m - 1 do
     Array.blit inv.(i) 0 h.binv.(i) 0 m
-  done;
+  done
+
+(* Rebuild B^-1 from the basis, then recompute xb exactly. *)
+let refactorize h =
+  if Faults.fire Faults.Refactor_singular then
+    raise (Numerical_trouble "injected singular refactorization");
+  let trace_t0 = Dpv_obs.Trace.begin_ns () in
+  let a = take_slot arena_slot ~size:arena_size h.m new_arena in
+  (match invert_basis h a with
+  | () -> put_slot arena_slot ~size:arena_size a
+  | exception e ->
+      put_slot arena_slot ~size:arena_size a;
+      raise e);
   h.since_refactor <- 0;
   compute_xb h;
   Dpv_obs.Trace.complete ~name:"simplex.refactorize" trace_t0
@@ -615,18 +699,11 @@ let apply_pivot h ~r ~q =
   if Float.abs piv < piv_floor then
     raise (Numerical_trouble "pivot element below floor");
   let br = h.binv.(r) in
-  for k = 0 to h.m - 1 do
-    br.(k) <- br.(k) /. piv
-  done;
+  let n = scale_support br h.m piv h.supp in
   for i = 0 to h.m - 1 do
     if i <> r then begin
       let f = h.alpha.(i) in
-      if f <> 0.0 then begin
-        let bi = h.binv.(i) in
-        for k = 0 to h.m - 1 do
-          bi.(k) <- bi.(k) -. (f *. br.(k))
-        done
-      end
+      if f <> 0.0 then sub_scaled_support h.binv.(i) f br h.supp n
     end
   done;
   h.in_row.(h.basis.(r)) <- -1;
@@ -1050,6 +1127,8 @@ let bounds_conflict h =
   !conflict
 
 let resolve ?(bound_changes = []) h =
+  if Array.length h.binv < h.m then
+    invalid_arg "Simplex.resolve: released handle";
   List.iter (fun (v, lo, up) -> set_var_bounds h v ~lo ~up) bound_changes;
   (* The forced-trouble fault site sits OUTSIDE the fallback handler
      below on purpose: it models trouble the internal rescue cannot
@@ -1092,6 +1171,11 @@ let resolve ?(bound_changes = []) h =
       ~args:[ ("start", if warm then "warm" else "cold") ]
       ~name:"simplex.resolve" trace_t0;
   result
+
+let release h =
+  let binv = h.binv in
+  h.binv <- [||];
+  put_slot spare_binv ~size:Array.length binv
 
 let counters h =
   {

@@ -82,6 +82,14 @@ val resolve :
     applied first. *)
 
 val counters : handle -> counters
-(** Cumulative over the handle's lifetime. *)
+(** Cumulative over the handle's lifetime; still readable after
+    {!release}. *)
+
+val release : handle -> unit
+(** Hand the handle's basis-inverse storage (m x m floats) to the
+    calling domain, for the next {!create} there to reuse instead of
+    allocating.  The handle must not be solved again: a later
+    {!resolve} raises [Invalid_argument].  Releasing is optional; an
+    unreleased handle is simply garbage-collected. *)
 
 val pp_status : Format.formatter -> status -> unit

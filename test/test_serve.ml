@@ -570,7 +570,11 @@ let test_serve_backpressure_and_duplicates () =
     (finished_code outcome2)
 
 let test_serve_deadline_spent_in_queue () =
-  with_server @@ fun _server ~sock ~state_dir:_ ->
+  (* The hook runs before the budget is carved, so sleeping past the
+     1 ms deadline there makes the expiry certain instead of a race with
+     the start of execution. *)
+  with_server ~before_execute:(fun _ -> Unix.sleepf 0.01)
+  @@ fun _server ~sock ~state_dir:_ ->
   (* A deadline that has already passed when execution starts leaves a
      zero carve: queries are skipped and the job reports degraded. *)
   let outcome, frames =

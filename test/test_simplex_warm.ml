@@ -222,3 +222,273 @@ let tests =
     Alcotest.test_case "milp surfaces solver counters" `Quick
       test_milp_counters_surface;
   ]
+
+(* ---- Golden bit-identity: pivot choices, work counts and every
+   computed bound are pinned to the values the engine produced before
+   its kernels were restricted to nonzero work.  Both cases run well
+   past [refactor_every] = 64 pivots on one handle, so they cross
+   product-form updates, refactorizations and (for the sweep) the
+   nonzero-cost reduced-cost path. ---- *)
+
+module Encode = Dpv_core.Encode
+module Tighten = Dpv_core.Tighten
+module Init = Dpv_nn.Init
+module Box_domain = Dpv_absint.Box_domain
+module Interval = Dpv_absint.Interval
+module Risk = Dpv_spec.Risk
+
+let golden_nets seed =
+  let rng = Rng.create seed in
+  let suffix = Init.mlp rng ~input_dim:6 ~hidden:[ 10; 10 ] ~output_dim:2 in
+  let head = Init.mlp rng ~input_dim:6 ~hidden:[ 4 ] ~output_dim:1 in
+  (suffix, head, Box_domain.uniform ~dim:6 ~lo:(-1.0) ~hi:1.0)
+
+let test_golden_feasibility_milp () =
+  (* A zero-objective verification MILP (24 binaries, 101 rows): every
+     reduced cost is 0, and the search exhausts the tree. *)
+  let suffix, head, feature_box = golden_nets 1305 in
+  let psi = Risk.make ~name:"golden" [ Risk.output_ge 0 2.0 ] in
+  let e = Encode.build ~suffix ~head ~feature_box ~psi () in
+  let result, st =
+    Milp.solve_with_stats
+      ~options:{ Milp.default_options with Milp.find_first = true }
+      e.Encode.model
+  in
+  Alcotest.(check bool) "verdict: infeasible" true (result = Milp.Infeasible);
+  Alcotest.(check (list int))
+    "nodes, LPs, pivots, warm starts, cold starts"
+    [ 1417; 1417; 16108; 1416; 1 ]
+    [
+      st.Milp.nodes_explored;
+      st.Milp.lp_solved;
+      st.Milp.pivots;
+      st.Milp.warm_starts;
+      st.Milp.cold_starts;
+    ]
+
+let test_golden_tighten_sweep () =
+  (* OBBT: 12 LPs on one handle, each objective a single feature
+     coordinate, so the row-wise c_B B^-1 path does the pricing. *)
+  let suffix, head, feature_box = golden_nets 1304 in
+  let box, st =
+    Tighten.feature_box ~suffix ~head ~feature_box ~characterizer_margin:1.0 ()
+  in
+  Alcotest.(check int) "pivots" 188 st.Tighten.pivots;
+  Alcotest.(check (list (pair int64 int64)))
+    "bits of every bound"
+    [
+      (0xbfd616cd0fb6a0caL, 0x3ff0000000000000L);
+      (0xbfe697cd8f2a9978L, 0x3ff0000000000000L);
+      (0xbff0000000000000L, 0x3ff0000000000000L);
+      (0x3fce24ebdbb33708L, 0x3ff0000000000000L);
+      (0xbff0000000000000L, 0x3fe81c02859739e0L);
+      (0xbff0000000000000L, 0xbfc844114cc58074L);
+    ]
+    (Array.to_list
+       (Array.map
+          (fun iv ->
+            ( Int64.bits_of_float iv.Interval.lo,
+              Int64.bits_of_float iv.Interval.hi ))
+          box))
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "golden: zero-objective MILP counts" `Quick
+        test_golden_feasibility_milp;
+      Alcotest.test_case "golden: tighten sweep bits" `Quick
+        test_golden_tighten_sweep;
+    ]
+
+(* ---- Per-domain storage: the refactorization scratch is one grow-only
+   arena per domain, taken out for the length of each refactorization,
+   and a released handle's B^-1 storage is taken by the next handle
+   created on its domain.  Handles of different sizes re-solved in
+   round-robin make each refactorization reuse an arena last sized by
+   another handle, and each job releases its handles for the next;
+   running such jobs on two pool domains and on two systhreads of one
+   domain must not let two solves share either. ---- *)
+
+module Pool = Dpv_linprog.Pool
+module Faults = Dpv_linprog.Faults
+
+(* A sparse boxed LP with [m] rows over [m + 10] variables; nonnegative
+   rows with positive rhs keep the origin feasible, so every objective
+   sweep ends in an optimum that the residual check vouches for. *)
+let arena_lp ~seed ~m =
+  let rng = Rng.create seed in
+  let model = ref (Lp.create ()) in
+  let vars =
+    Array.init (m + 10) (fun _ ->
+        let next, v =
+          Lp.add_var ~lo:0.0 ~up:(Rng.uniform rng ~lo:1.0 ~hi:10.0) !model
+        in
+        model := next;
+        v)
+  in
+  for _ = 1 to m do
+    let terms =
+      List.init 5 (fun _ -> (Rng.uniform rng ~lo:0.1 ~hi:3.0, Rng.pick rng vars))
+    in
+    model :=
+      Lp.add_constraint !model terms Lp.Le (Rng.uniform rng ~lo:5.0 ~hi:20.0)
+  done;
+  let objectives =
+    List.init 10 (fun k ->
+        ( (if k mod 2 = 0 then Lp.Maximize else Lp.Minimize),
+          Array.to_list
+            (Array.map (fun v -> (Rng.uniform rng ~lo:(-1.0) ~hi:2.0, v)) vars)
+        ))
+  in
+  (!model, objectives)
+
+(* One job: a handle per LP of [lps], all alive together, each
+   re-solved once per objective in round-robin, then released.  Returns
+   the statuses in solve order and each handle's counters. *)
+let arena_job lps =
+  let handles = List.map (fun (model, _) -> Simplex.create model) lps in
+  let statuses =
+    List.concat
+      (List.init 10 (fun k ->
+           List.map2
+             (fun h (_, objectives) ->
+               let sense, terms = List.nth objectives k in
+               Simplex.set_objective h sense terms;
+               Simplex.resolve h)
+             handles lps))
+  in
+  List.iter Simplex.release handles;
+  (statuses, List.map Simplex.counters handles)
+
+let arena_jobs =
+  lazy
+    (List.map
+       (fun sizes ->
+         let lps =
+           List.map (fun m -> arena_lp ~seed:(1000 + m) ~m) sizes
+         in
+         let dense =
+           List.concat
+             (List.init 10 (fun k ->
+                  List.map
+                    (fun (model, objectives) ->
+                      let sense, terms = List.nth objectives k in
+                      Simplex.solve_dense (Lp.set_objective model sense terms))
+                    lps))
+         in
+         (lps, dense))
+       [ [ 12; 70; 31 ]; [ 55; 8; 90 ]; [ 40; 23 ]; [ 66; 17; 48 ] ])
+
+let on_two_pool_domains f items =
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok r) -> r
+         | Some (Error e) -> raise e
+         | None -> Alcotest.fail "pool dropped a job")
+       (Pool.map_list ~workers:2 f items))
+
+(* Two systhreads on one domain.  The runtime only switches threads on
+   a 50 ms tick, longer than these jobs; a 0.2 ms SIGALRM whose handler
+   yields at the next safepoint lands switches inside refactorizations
+   too. *)
+let on_two_systhreads f items =
+  let half = List.length items / 2 in
+  let first = List.filteri (fun i _ -> i < half) items in
+  let second = List.filteri (fun i _ -> i >= half) items in
+  let every s =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = s; it_value = s })
+  in
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Thread.yield ()))
+  in
+  every 0.0002;
+  Fun.protect
+    ~finally:(fun () ->
+      every 0.0;
+      Sys.set_signal Sys.sigalrm previous)
+  @@ fun () ->
+  let other = ref [] in
+  let th = Thread.create (fun () -> other := List.map f second) () in
+  let mine = List.map f first in
+  Thread.join th;
+  mine @ !other
+
+let check_against_dense label (statuses, _) dense =
+  List.iteri
+    (fun i (got, reference) ->
+      let ctx = Printf.sprintf "%s, solve %d" label i in
+      match (got, reference) with
+      | Simplex.Optimal { objective = a; _ }, Simplex.Optimal { objective = b; _ }
+        ->
+          Alcotest.(check (float 1e-6)) ctx b a
+      | _ ->
+          Alcotest.failf "%s: %s vs dense %s" ctx (status_word got)
+            (status_word reference))
+    (List.combine statuses dense)
+
+let test_arena_interleaving () =
+  let jobs = Lazy.force arena_jobs in
+  let lps = List.map fst jobs and dense = List.map snd jobs in
+  let alone = List.map arena_job lps in
+  List.iteri
+    (fun i (r, d) -> check_against_dense (Printf.sprintf "job %d alone" i) r d)
+    (List.combine alone dense);
+  Alcotest.(check bool) "handles crossed refactorizations" true
+    (List.for_all
+       (fun (_, counters) ->
+         List.exists (fun c -> c.Simplex.pivots > 64) counters)
+       alone);
+  (* Same inputs, same arithmetic: concurrent runs must be bit-identical
+     to the runs alone, counters included. *)
+  let check_identical label runs =
+    List.iteri
+      (fun i (got, reference) ->
+        if got <> reference then
+          Alcotest.failf "%s: job %d differs from its run alone" label i)
+      (List.combine runs alone)
+  in
+  check_identical "two pool domains" (on_two_pool_domains arena_job lps);
+  check_identical "two systhreads" (on_two_systhreads arena_job lps);
+  let model, _ = List.hd (List.hd lps) in
+  let h = Simplex.create model in
+  ignore (Simplex.resolve h);
+  Simplex.release h;
+  match Simplex.resolve h with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a released handle must not solve again"
+
+let test_arena_under_faults () =
+  let jobs = Lazy.force arena_jobs in
+  let lps = List.map fst jobs and dense = List.map snd jobs in
+  List.iter
+    (fun (label, schedule) ->
+      Fun.protect ~finally:Faults.disable (fun () ->
+          Faults.configure ~seed:13
+            [ (Faults.Refactor_singular, 3); (Faults.Pivot_corrupt, 150) ];
+          let runs = schedule arena_job lps in
+          Alcotest.(check (list int))
+            (label ^ ": both faults fired") [ 1; 1 ]
+            [
+              Faults.fired Faults.Refactor_singular;
+              Faults.fired Faults.Pivot_corrupt;
+            ];
+          List.iteri
+            (fun i (r, d) ->
+              check_against_dense (Printf.sprintf "%s, job %d" label i) r d)
+            (List.combine runs dense)))
+    [
+      ("one domain", List.map);
+      ("two pool domains", on_two_pool_domains);
+      ("two systhreads", on_two_systhreads);
+    ]
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "arena: interleaved sizes, domains, threads" `Quick
+        test_arena_interleaving;
+      Alcotest.test_case "arena: refactor-singular and pivot-corrupt" `Quick
+        test_arena_under_faults;
+    ]
