@@ -192,41 +192,79 @@ let setup_digest setup =
   in
   Digest.to_hex (Digest.string s)
 
+(* [mkdir -p], tolerating a directory another process creates
+   concurrently. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+(* Write a fresh temporary file beside [path] and rename it over [path],
+   so a reader, a concurrent writer or a crash sees the old entry or
+   the whole new one, never a torn one.  The temporary file is created
+   private; the entry gets the usual 0644. *)
+let write_atomically path write =
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path)
+      (Filename.basename path) ".tmp"
+  in
+  match
+    write tmp;
+    Unix.chmod tmp 0o644
+  with
+  | () -> Sys.rename tmp path
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
+let read_meta path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      match
+        String.split_on_char ' ' (input_line ic) |> List.filter (( <> ) "")
+      with
+      | loss :: maes ->
+          (float_of_string loss, Array.of_list (List.map float_of_string maes))
+      | [] -> failwith "Workflow: corrupt cache meta")
+
+(* An entry that does not load whole, or whose network does not take
+   this setup's images (the digest omits the camera height), is a
+   miss. *)
+let load_cached setup ~model_path ~meta_path =
+  if not (Sys.file_exists model_path && Sys.file_exists meta_path) then None
+  else
+    match (Serialize.load ~path:model_path, read_meta meta_path) with
+    | perception, (final_train_loss, val_mae)
+      when Network.input_dim perception = image_dim setup ->
+        Some (finish_preparation setup perception ~final_train_loss ~val_mae)
+    | _ -> None
+    | exception (Failure _ | Invalid_argument _ | End_of_file | Sys_error _) ->
+        None
+
 let prepare_cached ?(quiet = true) ~cache_dir setup =
   let digest = setup_digest setup in
   let model_path = Filename.concat cache_dir ("perception-" ^ digest ^ ".net") in
   let meta_path = Filename.concat cache_dir ("perception-" ^ digest ^ ".meta") in
-  if Sys.file_exists model_path && Sys.file_exists meta_path then begin
-    let perception = Serialize.load ~path:model_path in
-    let ic = open_in meta_path in
-    let final_train_loss, val_mae =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let line = input_line ic in
-          match
-            String.split_on_char ' ' line |> List.filter (( <> ) "")
-          with
-          | loss :: maes ->
-              ( float_of_string loss,
-                Array.of_list (List.map float_of_string maes) )
-          | [] -> failwith "Workflow: corrupt cache meta")
-    in
-    finish_preparation setup perception ~final_train_loss ~val_mae
-  end
-  else begin
-    let prepared = prepare ~quiet setup in
-    if not (Sys.file_exists cache_dir) then Sys.mkdir cache_dir 0o755;
-    Serialize.save prepared.perception ~path:model_path;
-    let oc = open_out meta_path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc "%h %s\n" prepared.final_train_loss
-          (String.concat " "
-             (Array.to_list (Array.map (Printf.sprintf "%h") prepared.val_mae))));
-    prepared
-  end
+  match load_cached setup ~model_path ~meta_path with
+  | Some prepared -> prepared
+  | None ->
+      mkdir_p cache_dir;
+      let prepared = prepare ~quiet setup in
+      write_atomically model_path (fun path ->
+          Serialize.save prepared.perception ~path);
+      write_atomically meta_path (fun path ->
+          let oc = open_out path in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () ->
+              Printf.fprintf oc "%h %s\n" prepared.final_train_loss
+                (String.concat " "
+                   (Array.to_list
+                      (Array.map (Printf.sprintf "%h") prepared.val_mae)))));
+      prepared
 
 let features_at prepared ~cut =
   if cut = prepared.setup.cut then prepared.bounds_features

@@ -62,8 +62,11 @@ val prepare : ?quiet:bool -> setup -> prepared
 
 val prepare_cached : ?quiet:bool -> cache_dir:string -> setup -> prepared
 (** Like {!prepare} but persists the trained network under [cache_dir]
-    keyed by the setup, so repeated runs (benches, examples) skip
-    training. *)
+    (created with its parents if missing) keyed by the setup, so
+    repeated runs (benches, examples) skip training.  Entries are
+    written through a temporary file and a rename; an entry that fails
+    to load, or whose network's input dimension is not this setup's
+    image dimension, is a miss: it is retrained and overwritten. *)
 
 val features_at : prepared -> cut:int -> Dpv_tensor.Vec.t array
 (** Bounds features recomputed at a different cut layer. *)

@@ -38,10 +38,9 @@ let conv_out_dim s = s.out_channels * conv_out_height s * conv_out_width s
 let sigmoid_scalar x = 1.0 /. (1.0 +. exp (-.x))
 
 (* Direct convolution over the channel-major flat layout. *)
-let conv_forward shape weights bias x =
+let conv_forward_into shape weights bias x out =
   let oh = conv_out_height shape and ow = conv_out_width shape in
   let ih = shape.in_height and iw = shape.in_width in
-  let out = Array.make (conv_out_dim shape) 0.0 in
   for oc = 0 to shape.out_channels - 1 do
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
@@ -65,20 +64,34 @@ let conv_forward shape weights bias x =
         out.((oc * oh * ow) + (oy * ow) + ox) <- !acc
       done
     done
-  done;
-  out
+  done
 
-let forward layer x =
+let forward_into layer x out =
   match layer with
-  | Dense { weights; bias } -> Vec.add (Mat.matvec weights x) bias
-  | Conv2d { shape; weights; bias } -> conv_forward shape weights bias x
-  | Relu -> Vec.map (fun v -> Float.max 0.0 v) x
-  | Sigmoid -> Vec.map sigmoid_scalar x
-  | Tanh -> Vec.map tanh x
+  | Dense { weights; bias } ->
+      Mat.matvec_into weights x out;
+      for i = 0 to Vec.dim bias - 1 do
+        out.(i) <- out.(i) +. bias.(i)
+      done
+  | Conv2d { shape; weights; bias } -> conv_forward_into shape weights bias x out
+  | Relu ->
+      for i = 0 to Vec.dim x - 1 do
+        out.(i) <- Float.max 0.0 x.(i)
+      done
+  | Sigmoid ->
+      for i = 0 to Vec.dim x - 1 do
+        out.(i) <- sigmoid_scalar x.(i)
+      done
+  | Tanh ->
+      for i = 0 to Vec.dim x - 1 do
+        out.(i) <- tanh x.(i)
+      done
   | Batch_norm { gamma; beta; mean; var; eps } ->
-      Vec.init (Vec.dim x) (fun i ->
+      for i = 0 to Vec.dim x - 1 do
+        out.(i) <-
           (gamma.(i) *. (x.(i) -. mean.(i)) /. sqrt (var.(i) +. eps))
-          +. beta.(i))
+          +. beta.(i)
+      done
 
 let in_dim = function
   | Dense { weights; _ } -> Some (Mat.cols weights)
@@ -91,6 +104,13 @@ let out_dim = function
   | Conv2d { shape; _ } -> Some (conv_out_dim shape)
   | Batch_norm { gamma; _ } -> Some (Vec.dim gamma)
   | Relu | Sigmoid | Tanh -> None
+
+let forward layer x =
+  let out =
+    Vec.zeros (match out_dim layer with Some d -> d | None -> Vec.dim x)
+  in
+  forward_into layer x out;
+  out
 
 let name = function
   | Dense _ -> "dense"

@@ -43,6 +43,10 @@ type t =
 
 val forward : t -> Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t
 
+val forward_into : t -> Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t -> unit
+(** [forward_into layer x out] writes [forward layer x] to [out], which
+    must have the layer's output dimension and must not be [x]. *)
+
 val in_dim : t -> int option
 (** [None] for shape-preserving activation layers. *)
 

@@ -27,11 +27,14 @@ let layer net l =
 
 let dims net = Array.copy net.dims
 
-let forward net x =
+let check_input net fn x =
   if Vec.dim x <> net.input_dim then
     invalid_arg
-      (Printf.sprintf "Network.forward: expected input dim %d, got %d"
-         net.input_dim (Vec.dim x));
+      (Printf.sprintf "Network.%s: expected input dim %d, got %d" fn
+         net.input_dim (Vec.dim x))
+
+let forward net x =
+  check_input net "forward" x;
   Array.fold_left (fun acc l -> Layer.forward l acc) x net.layer_arr
 
 let check_cut net cut =
@@ -40,19 +43,27 @@ let check_cut net cut =
 
 let forward_upto net ~cut x =
   check_cut net cut;
+  check_input net "forward_upto" x;
   let acc = ref x in
   for l = 0 to cut - 1 do
     acc := Layer.forward net.layer_arr.(l) !acc
   done;
   !acc
 
+let activation_buffers net =
+  Array.mapi (fun l d -> if l = 0 then [||] else Vec.zeros d) net.dims
+
+let activations_into net x acts =
+  check_input net "activations" x;
+  acts.(0) <- x;
+  for l = 1 to num_layers net do
+    Layer.forward_into net.layer_arr.(l - 1) acts.(l - 1) acts.(l)
+  done
+
 let activations net x =
-  let n = num_layers net in
-  let out = Array.make (n + 1) x in
-  for l = 1 to n do
-    out.(l) <- Layer.forward net.layer_arr.(l - 1) out.(l - 1)
-  done;
-  out
+  let acts = activation_buffers net in
+  activations_into net x acts;
+  acts
 
 let prefix net ~cut =
   check_cut net cut;

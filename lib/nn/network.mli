@@ -27,10 +27,22 @@ val forward : t -> Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t
 (** [f^(L)]. *)
 
 val forward_upto : t -> cut:int -> Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t
-(** [forward_upto net ~cut x] is [f^(cut)(x)]; [cut = 0] returns [x]. *)
+(** [forward_upto net ~cut x] is [f^(cut)(x)]; [cut = 0] returns [x].
+    Like {!forward}, raises [Invalid_argument] naming the network's input
+    dimension when [x] has another. *)
 
 val activations : t -> Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t array
 (** All intermediate values: index [l] holds [f^(l)(x)], index 0 the input. *)
+
+val activation_buffers : t -> Dpv_tensor.Vec.t array
+(** Fresh buffers for {!activations_into}: index [l >= 1] has [dims.(l)]
+    entries. *)
+
+val activations_into : t -> Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t array -> unit
+(** [activations_into net x acts] stores [x] at index 0 of [acts] and
+    writes [f^(l)(x)] into the buffer at index [l], so [acts] then holds
+    what {!activations} returns.  [acts] must come from
+    {!activation_buffers} on a network of the same shape. *)
 
 val prefix : t -> cut:int -> t
 (** Layers [1 .. cut] as a standalone network. *)

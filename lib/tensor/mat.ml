@@ -65,32 +65,42 @@ let sub a b =
 
 let scale c m = { m with data = Array.map (fun v -> c *. v) m.data }
 
-let matvec m x =
+let matvec_into m x out =
   if Array.length x <> m.cols then
     invalid_arg
       (Printf.sprintf "Mat.matvec: %dx%d vs vector of %d" m.rows m.cols
          (Array.length x));
-  Array.init m.rows (fun i ->
-      let base = i * m.cols in
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.(base + j) *. x.(j))
-      done;
-      !acc)
+  for i = 0 to m.rows - 1 do
+    let base = i * m.cols in
+    let acc = ref 0.0 in
+    for j = 0 to m.cols - 1 do
+      acc := !acc +. (m.data.(base + j) *. x.(j))
+    done;
+    out.(i) <- !acc
+  done
 
-let matvec_t m x =
+let matvec m x =
+  let out = Array.make m.rows 0.0 in
+  matvec_into m x out;
+  out
+
+let matvec_t_into m x out =
   if Array.length x <> m.rows then
     invalid_arg
       (Printf.sprintf "Mat.matvec_t: %dx%d vs vector of %d" m.rows m.cols
          (Array.length x));
-  let out = Array.make m.cols 0.0 in
+  Array.fill out 0 m.cols 0.0;
   for i = 0 to m.rows - 1 do
     let base = i * m.cols in
     let xi = x.(i) in
     for j = 0 to m.cols - 1 do
       out.(j) <- out.(j) +. (m.data.(base + j) *. xi)
     done
-  done;
+  done
+
+let matvec_t m x =
+  let out = Array.make m.cols 0.0 in
+  matvec_t_into m x out;
   out
 
 let matmul a b =
@@ -112,6 +122,31 @@ let matmul a b =
 let outer x y =
   init ~rows:(Array.length x) ~cols:(Array.length y) (fun i j ->
       x.(i) *. y.(j))
+
+let add_outer m x y =
+  if Array.length x <> m.rows || Array.length y <> m.cols then
+    invalid_arg "Mat.add_outer: shape mismatch";
+  for i = 0 to m.rows - 1 do
+    let base = i * m.cols in
+    let xi = x.(i) in
+    for j = 0 to m.cols - 1 do
+      m.data.(base + j) <- m.data.(base + j) +. (xi *. y.(j))
+    done
+  done
+
+let add_in_place a b =
+  check_same_shape a b;
+  for k = 0 to Array.length a.data - 1 do
+    a.data.(k) <- a.data.(k) +. b.data.(k)
+  done
+
+let scale_in_place c m =
+  for k = 0 to Array.length m.data - 1 do
+    m.data.(k) <- c *. m.data.(k)
+  done
+
+let fill m x = Array.fill m.data 0 (Array.length m.data) x
+let data m = m.data
 
 let map f m = { m with data = Array.map f m.data }
 

@@ -10,36 +10,73 @@ type layer_grad =
 
 type t = layer_grad array
 
-let zeros net =
-  Array.of_list
-    (List.map
-       (fun l ->
-         match l with
-         | Layer.Dense { weights; bias } | Layer.Conv2d { weights; bias; _ } ->
-             Dense_grad
-               {
-                 d_weights =
-                   Mat.zeros ~rows:(Mat.rows weights) ~cols:(Mat.cols weights);
-                 d_bias = Vec.zeros (Vec.dim bias);
-               }
-         | Layer.Batch_norm { gamma; _ } ->
-             Bn_grad
-               {
-                 d_gamma = Vec.zeros (Vec.dim gamma);
-                 d_beta = Vec.zeros (Vec.dim gamma);
-               }
-         | Layer.Relu | Layer.Sigmoid | Layer.Tanh -> No_grad)
-       (Network.layers net))
+let filled net v =
+  Array.init (Network.num_layers net) (fun i ->
+      match Network.layer net (i + 1) with
+      | Layer.Dense { weights; bias } | Layer.Conv2d { weights; bias; _ } ->
+          Dense_grad
+            {
+              d_weights =
+                Mat.create ~rows:(Mat.rows weights) ~cols:(Mat.cols weights) v;
+              d_bias = Vec.create (Vec.dim bias) v;
+            }
+      | Layer.Batch_norm { gamma; _ } ->
+          Bn_grad
+            {
+              d_gamma = Vec.create (Vec.dim gamma) v;
+              d_beta = Vec.create (Vec.dim gamma) v;
+            }
+      | Layer.Relu | Layer.Sigmoid | Layer.Tanh -> No_grad)
+
+let zeros net = filled net 0.0
+
+let fill g x =
+  Array.iter
+    (function
+      | Dense_grad a ->
+          Mat.fill a.d_weights x;
+          Array.fill a.d_bias 0 (Vec.dim a.d_bias) x
+      | Bn_grad a ->
+          Array.fill a.d_gamma 0 (Vec.dim a.d_gamma) x;
+          Array.fill a.d_beta 0 (Vec.dim a.d_beta) x
+      | No_grad -> ())
+    g
+
+(* The upstream gradient at every layer boundary ([upstream.(l)] is
+   dL/d f^(l)) and, for each conv layer, the per-sample gradient buffers
+   its weights and bias are summed into before they reach the total. *)
+type workspace = { upstream : Vec.t array; conv : t }
+
+let workspace net =
+  {
+    upstream = Array.map Vec.zeros (Network.dims net);
+    conv =
+      Array.init (Network.num_layers net) (fun i ->
+          match Network.layer net (i + 1) with
+          | Layer.Conv2d { weights; bias; _ } ->
+              Dense_grad
+                {
+                  d_weights =
+                    Mat.zeros ~rows:(Mat.rows weights) ~cols:(Mat.cols weights);
+                  d_bias = Vec.zeros (Vec.dim bias);
+                }
+          | Layer.Dense _ | Layer.Batch_norm _ | Layer.Relu | Layer.Sigmoid
+          | Layer.Tanh ->
+              No_grad);
+  }
 
 (* Direct convolution backward: scatter the upstream gradient to kernel
-   weights (dW), per-channel bias (db) and the input (dx). *)
-let conv_backward (shape : Layer.conv_shape) weights ~x ~g =
+   weights (dW), per-channel bias (db) and, when [want_dx], the input
+   (dx).  A kernel weight collects several products per sample, so dW
+   and db are summed in zeroed per-sample buffers. *)
+let conv_backward (shape : Layer.conv_shape) weights ~x ~g ~d_weights ~d_bias
+    ~dx ~want_dx =
   let oh = Layer.conv_out_height shape and ow = Layer.conv_out_width shape in
   let ih = shape.Layer.in_height and iw = shape.Layer.in_width in
   let kh = shape.Layer.kernel_h and kw = shape.Layer.kernel_w in
-  let d_weights = Mat.zeros ~rows:(Mat.rows weights) ~cols:(Mat.cols weights) in
-  let d_bias = Vec.zeros shape.Layer.out_channels in
-  let dx = Vec.zeros (Vec.dim x) in
+  Mat.fill d_weights 0.0;
+  Array.fill d_bias 0 (Vec.dim d_bias) 0.0;
+  if want_dx then Array.fill dx 0 (Vec.dim dx) 0.0;
   for oc = 0 to shape.Layer.out_channels - 1 do
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
@@ -57,7 +94,8 @@ let conv_backward (shape : Layer.conv_shape) weights ~x ~g =
                     let xin = (ic * ih * iw) + (y * iw) + xpos in
                     Mat.set d_weights oc col
                       (Mat.get d_weights oc col +. (gout *. x.(xin)));
-                    dx.(xin) <- dx.(xin) +. (gout *. Mat.get weights oc col)
+                    if want_dx then
+                      dx.(xin) <- dx.(xin) +. (gout *. Mat.get weights oc col)
                   end
                 done
             done
@@ -65,50 +103,69 @@ let conv_backward (shape : Layer.conv_shape) weights ~x ~g =
         end
       done
     done
-  done;
-  (Dense_grad { d_weights; d_bias }, dx)
+  done
 
 (* Backward rule per layer.  [x] is the layer input, [y] its output and
-   [g] the upstream gradient dL/dy; returns (parameter grad, dL/dx). *)
-let backward_layer layer ~x ~y ~g =
-  match layer with
-  | Layer.Conv2d { shape; weights; _ } -> conv_backward shape weights ~x ~g
-  | Layer.Dense { weights; _ } ->
-      let d_weights = Mat.outer g x in
-      let d_bias = Vec.copy g in
-      let dx = Mat.matvec_t weights g in
-      (Dense_grad { d_weights; d_bias }, dx)
-  | Layer.Relu ->
-      (No_grad, Vec.init (Vec.dim x) (fun i -> if x.(i) > 0.0 then g.(i) else 0.0))
-  | Layer.Sigmoid ->
-      (No_grad, Vec.init (Vec.dim y) (fun i -> g.(i) *. y.(i) *. (1.0 -. y.(i))))
-  | Layer.Tanh ->
-      (No_grad, Vec.init (Vec.dim y) (fun i -> g.(i) *. (1.0 -. (y.(i) *. y.(i)))))
-  | Layer.Batch_norm { gamma; mean; var; eps; _ } ->
-      let d = Vec.dim gamma in
-      let inv_std = Vec.init d (fun i -> 1.0 /. sqrt (var.(i) +. eps)) in
-      let d_gamma =
-        Vec.init d (fun i -> g.(i) *. (x.(i) -. mean.(i)) *. inv_std.(i))
-      in
-      let d_beta = Vec.copy g in
-      let dx = Vec.init d (fun i -> g.(i) *. gamma.(i) *. inv_std.(i)) in
-      (Bn_grad { d_gamma; d_beta }, dx)
+   [g] the upstream gradient dL/dy.  The parameter gradient is added into
+   [into] (a Dense weight gets one product per sample, so it goes
+   straight in; a conv weight goes through the buffers in [conv]), and
+   dL/dx is written to [dx] when [want_dx]. *)
+let backward_layer layer ~x ~y ~g ~into ~conv ~dx ~want_dx =
+  match (layer, into, conv) with
+  | Layer.Conv2d { shape; weights; _ }, Dense_grad total, Dense_grad sample ->
+      conv_backward shape weights ~x ~g ~d_weights:sample.d_weights
+        ~d_bias:sample.d_bias ~dx ~want_dx;
+      Mat.add_in_place total.d_weights sample.d_weights;
+      Vec.add_in_place total.d_bias sample.d_bias
+  | Layer.Dense { weights; _ }, Dense_grad total, No_grad ->
+      Mat.add_outer total.d_weights g x;
+      Vec.add_in_place total.d_bias g;
+      if want_dx then Mat.matvec_t_into weights g dx
+  | Layer.Relu, No_grad, No_grad ->
+      if want_dx then
+        for i = 0 to Vec.dim x - 1 do
+          dx.(i) <- (if x.(i) > 0.0 then g.(i) else 0.0)
+        done
+  | Layer.Sigmoid, No_grad, No_grad ->
+      if want_dx then
+        for i = 0 to Vec.dim y - 1 do
+          dx.(i) <- g.(i) *. y.(i) *. (1.0 -. y.(i))
+        done
+  | Layer.Tanh, No_grad, No_grad ->
+      if want_dx then
+        for i = 0 to Vec.dim y - 1 do
+          dx.(i) <- g.(i) *. (1.0 -. (y.(i) *. y.(i)))
+        done
+  | Layer.Batch_norm { gamma; mean; var; eps; _ }, Bn_grad total, No_grad ->
+      for i = 0 to Vec.dim gamma - 1 do
+        let inv_std = 1.0 /. sqrt (var.(i) +. eps) in
+        total.d_gamma.(i) <-
+          total.d_gamma.(i) +. (g.(i) *. (x.(i) -. mean.(i)) *. inv_std);
+        total.d_beta.(i) <- total.d_beta.(i) +. g.(i);
+        if want_dx then dx.(i) <- g.(i) *. gamma.(i) *. inv_std
+      done
+  | _ -> invalid_arg "Grad: structure mismatch"
 
-let backward net ~activations ~d_output =
+let backprop ws net ~activations ~d_output ~into ~input_grad =
   let n = Network.num_layers net in
   if Array.length activations <> n + 1 then
     invalid_arg "Grad.backward: wrong activations length";
-  let grads = Array.make n No_grad in
-  let g = ref d_output in
+  ws.upstream.(n) <- d_output;
   for l = n downto 1 do
-    let layer = Network.layer net l in
-    let pg, dx =
-      backward_layer layer ~x:activations.(l - 1) ~y:activations.(l) ~g:!g
-    in
-    grads.(l - 1) <- pg;
-    g := dx
-  done;
-  (grads, !g)
+    backward_layer (Network.layer net l) ~x:activations.(l - 1)
+      ~y:activations.(l) ~g:ws.upstream.(l) ~into:into.(l - 1)
+      ~conv:ws.conv.(l - 1) ~dx:ws.upstream.(l - 1)
+      ~want_dx:(l > 1 || input_grad)
+  done
+
+(* -0.0 is the additive identity of IEEE addition, signed zeros
+   included, so summing one sample into accumulators filled with it
+   yields that sample's gradient bit for bit. *)
+let backward net ~activations ~d_output =
+  let ws = workspace net in
+  let grads = filled net (-0.0) in
+  backprop ws net ~activations ~d_output ~into:grads ~input_grad:true;
+  (grads, ws.upstream.(0))
 
 let accumulate ~into g =
   if Array.length into <> Array.length g then
@@ -134,17 +191,20 @@ let accumulate ~into g =
       | _ -> invalid_arg "Grad.accumulate: structure mismatch")
     g
 
+let scale_vec c v =
+  for i = 0 to Vec.dim v - 1 do
+    v.(i) <- c *. v.(i)
+  done
+
 let scale g c =
-  Array.iteri
-    (fun i gi ->
-      match gi with
+  Array.iter
+    (function
       | Dense_grad a ->
-          g.(i) <-
-            Dense_grad
-              { d_weights = Mat.scale c a.d_weights; d_bias = Vec.scale c a.d_bias }
+          Mat.scale_in_place c a.d_weights;
+          scale_vec c a.d_bias
       | Bn_grad a ->
-          g.(i) <-
-            Bn_grad { d_gamma = Vec.scale c a.d_gamma; d_beta = Vec.scale c a.d_beta }
+          scale_vec c a.d_gamma;
+          scale_vec c a.d_beta
       | No_grad -> ())
     g
 

@@ -16,6 +16,9 @@ type t = layer_grad array
 
 val zeros : Dpv_nn.Network.t -> t
 
+val fill : t -> float -> unit
+(** Sets every entry, in place. *)
+
 val backward :
   Dpv_nn.Network.t ->
   activations:Dpv_tensor.Vec.t array ->
@@ -25,8 +28,29 @@ val backward :
     gradients and the gradient w.r.t. the network input.  [activations]
     must come from {!Dpv_nn.Network.activations} on the same input. *)
 
+type workspace
+(** Per-network buffers of {!backprop}: the upstream gradient at every
+    layer boundary and per-sample conv gradients. *)
+
+val workspace : Dpv_nn.Network.t -> workspace
+
+val backprop :
+  workspace ->
+  Dpv_nn.Network.t ->
+  activations:Dpv_tensor.Vec.t array ->
+  d_output:Dpv_tensor.Vec.t ->
+  into:t ->
+  input_grad:bool ->
+  unit
+(** The kernel behind {!backward}: adds the parameter gradients of one
+    example into [into], allocating nothing.  [input_grad = false] skips
+    the gradient w.r.t. the network input, which only {!backward}
+    returns. *)
+
 val accumulate : into:t -> t -> unit
+
 val scale : t -> float -> unit
+(** Multiplies every entry, in place. *)
 
 val sample_gradient :
   Dpv_nn.Network.t -> Loss.t -> input:Dpv_tensor.Vec.t -> target:Dpv_tensor.Vec.t -> float * t

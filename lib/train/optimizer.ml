@@ -56,71 +56,63 @@ let momentum ~lr ~mu net =
 let adam ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) ~lr net =
   { lr; algo = Adam { beta1; beta2; eps }; state = make_state net; steps = 0 }
 
-(* Scalar update on one coordinate given its moment accessors. *)
-let scalar_update t ~get_p ~set_p ~g ~get_m ~set_m ~get_v ~set_v =
+(* One update of a flat parameter array from its gradient and moment
+   arrays.  [bc1] and [bc2] are Adam's bias corrections [1 - beta^t] for
+   this step. *)
+let update t ~bc1 ~bc2 ~param ~grad ~m ~v =
+  if Array.length grad <> Array.length param then
+    invalid_arg "Optimizer.step: structure mismatch";
   match t.algo with
-  | Sgd -> set_p (get_p () -. (t.lr *. g))
+  | Sgd ->
+      for k = 0 to Array.length param - 1 do
+        param.(k) <- param.(k) -. (t.lr *. grad.(k))
+      done
   | Momentum mu ->
-      let m = (mu *. get_m ()) +. g in
-      set_m m;
-      set_p (get_p () -. (t.lr *. m))
+      for k = 0 to Array.length param - 1 do
+        let mk = (mu *. m.(k)) +. grad.(k) in
+        m.(k) <- mk;
+        param.(k) <- param.(k) -. (t.lr *. mk)
+      done
   | Adam { beta1; beta2; eps } ->
-      let m = (beta1 *. get_m ()) +. ((1.0 -. beta1) *. g) in
-      let v = (beta2 *. get_v ()) +. ((1.0 -. beta2) *. g *. g) in
-      set_m m;
-      set_v v;
-      let tstep = float_of_int t.steps in
-      let m_hat = m /. (1.0 -. (beta1 ** tstep)) in
-      let v_hat = v /. (1.0 -. (beta2 ** tstep)) in
-      set_p (get_p () -. (t.lr *. m_hat /. (sqrt v_hat +. eps)))
-
-let update_vec t ~param ~grad ~m ~v =
-  for i = 0 to Vec.dim param - 1 do
-    scalar_update t
-      ~get_p:(fun () -> param.(i))
-      ~set_p:(fun x -> param.(i) <- x)
-      ~g:grad.(i)
-      ~get_m:(fun () -> m.(i))
-      ~set_m:(fun x -> m.(i) <- x)
-      ~get_v:(fun () -> v.(i))
-      ~set_v:(fun x -> v.(i) <- x)
-  done
-
-let update_mat t ~param ~grad ~m ~v =
-  for i = 0 to Mat.rows param - 1 do
-    for j = 0 to Mat.cols param - 1 do
-      scalar_update t
-        ~get_p:(fun () -> Mat.get param i j)
-        ~set_p:(fun x -> Mat.set param i j x)
-        ~g:(Mat.get grad i j)
-        ~get_m:(fun () -> Mat.get m i j)
-        ~set_m:(fun x -> Mat.set m i j x)
-        ~get_v:(fun () -> Mat.get v i j)
-        ~set_v:(fun x -> Mat.set v i j x)
-    done
-  done
+      for k = 0 to Array.length param - 1 do
+        let g = grad.(k) in
+        let mk = (beta1 *. m.(k)) +. ((1.0 -. beta1) *. g) in
+        let vk = (beta2 *. v.(k)) +. ((1.0 -. beta2) *. g *. g) in
+        m.(k) <- mk;
+        v.(k) <- vk;
+        let m_hat = mk /. bc1 in
+        let v_hat = vk /. bc2 in
+        param.(k) <- param.(k) -. (t.lr *. m_hat /. (sqrt v_hat +. eps))
+      done
 
 let step t net grads =
   t.steps <- t.steps + 1;
-  let layers = Array.of_list (Network.layers net) in
-  if Array.length layers <> Array.length grads then
+  if Network.num_layers net <> Array.length grads then
     invalid_arg "Optimizer.step: grad length mismatch";
+  let bc1, bc2 =
+    match t.algo with
+    | Adam { beta1; beta2; _ } ->
+        let tstep = float_of_int t.steps in
+        (1.0 -. (beta1 ** tstep), 1.0 -. (beta2 ** tstep))
+    | Sgd | Momentum _ -> (1.0, 1.0)
+  in
   Array.iteri
-    (fun i layer ->
-      match (layer, grads.(i), t.state.(i)) with
+    (fun i g ->
+      match (Network.layer net (i + 1), g, t.state.(i)) with
       | ( (Layer.Dense { weights; bias } | Layer.Conv2d { weights; bias; _ }),
           Grad.Dense_grad { d_weights; d_bias },
           Dense_state s ) ->
-          update_mat t ~param:weights ~grad:d_weights ~m:s.m_w ~v:s.v_w;
-          update_vec t ~param:bias ~grad:d_bias ~m:s.m_b ~v:s.v_b
+          update t ~bc1 ~bc2 ~param:(Mat.data weights)
+            ~grad:(Mat.data d_weights) ~m:(Mat.data s.m_w) ~v:(Mat.data s.v_w);
+          update t ~bc1 ~bc2 ~param:bias ~grad:d_bias ~m:s.m_b ~v:s.v_b
       | ( Layer.Batch_norm { gamma; beta; _ },
           Grad.Bn_grad { d_gamma; d_beta },
           Bn_state s ) ->
-          update_vec t ~param:gamma ~grad:d_gamma ~m:s.m_g ~v:s.v_g;
-          update_vec t ~param:beta ~grad:d_beta ~m:s.m_be ~v:s.v_be
+          update t ~bc1 ~bc2 ~param:gamma ~grad:d_gamma ~m:s.m_g ~v:s.v_g;
+          update t ~bc1 ~bc2 ~param:beta ~grad:d_beta ~m:s.m_be ~v:s.v_be
       | (Layer.Relu | Layer.Sigmoid | Layer.Tanh), Grad.No_grad, No_state -> ()
       | _ -> invalid_arg "Optimizer.step: structure mismatch")
-    layers
+    grads
 
 let set_lr t lr = t.lr <- lr
 let lr t = t.lr

@@ -22,19 +22,53 @@ let default_config =
 
 type history = { epoch_losses : float array }
 
-(* Refresh batch-norm running statistics: for every BN layer, the inputs
-   it saw in this batch update its stored mean/var by EMA.  The first
-   batch sets the statistics outright (momentum 1), otherwise the stats
-   start at (0, 1) and lag the real activation distribution long enough
-   to stall training.  The parameter vectors live inside the layer and
-   are mutated in place. *)
-let update_bn_stats net ~momentum batch_activations =
-  let n = Network.num_layers net in
-  for l = 1 to n do
+(* The buffers one [fit] call reuses for every sample: a forward pass's
+   activations, the backward workspace, the batch gradient totals and,
+   for each batch-norm layer, one row per batch slot holding that
+   layer's input. *)
+type workspace = {
+  acts : Vec.t array;
+  backward : Grad.workspace;
+  total : Grad.t;
+  bn_rows : Vec.t array array;  (* by layer index - 1; empty unless BN *)
+}
+
+let workspace net ~batch_size =
+  {
+    acts = Network.activation_buffers net;
+    backward = Grad.workspace net;
+    total = Grad.zeros net;
+    bn_rows =
+      Array.init (Network.num_layers net) (fun i ->
+          match Network.layer net (i + 1) with
+          | Layer.Batch_norm { gamma; _ } ->
+              Array.init batch_size (fun _ -> Vec.zeros (Vec.dim gamma))
+          | Layer.Dense _ | Layer.Conv2d _ | Layer.Relu | Layer.Sigmoid
+          | Layer.Tanh ->
+              [||]);
+  }
+
+(* Refresh batch-norm running statistics: every BN layer's stored
+   mean/var move by EMA towards the statistics of the inputs it saw in
+   this batch.  All inputs are measured before any statistic changes.
+   The first batch sets the statistics outright (momentum 1), otherwise
+   the stats start at (0, 1) and lag the real activation distribution
+   long enough to stall training.  The parameter vectors live inside
+   the layer and are mutated in place. *)
+let update_bn_stats ws net ~momentum batch =
+  let len = Array.length batch in
+  for k = 0 to len - 1 do
+    Network.activations_into net (fst batch.(k)) ws.acts;
+    for i = 0 to Array.length ws.bn_rows - 1 do
+      let rows = ws.bn_rows.(i) in
+      if Array.length rows > 0 then
+        Array.blit ws.acts.(i) 0 rows.(k) 0 (Vec.dim rows.(k))
+    done
+  done;
+  for l = 1 to Network.num_layers net do
     match Network.layer net l with
     | Layer.Batch_norm { mean; var; _ } ->
-        let inputs = List.map (fun acts -> acts.(l - 1)) batch_activations in
-        let rows = Array.of_list inputs in
+        let rows = Array.sub ws.bn_rows.(l - 1) 0 len in
         let batch_mean = Dpv_tensor.Stats.columnwise_mean rows in
         let batch_std = Dpv_tensor.Stats.columnwise_std rows in
         for i = 0 to Vec.dim mean - 1 do
@@ -47,46 +81,38 @@ let update_bn_stats net ~momentum batch_activations =
         ()
   done
 
-let has_batch_norm net =
-  List.exists
-    (fun l ->
-      match l with
-      | Layer.Batch_norm _ -> true
-      | Layer.Dense _ | Layer.Conv2d _ | Layer.Relu | Layer.Sigmoid
-      | Layer.Tanh ->
-          false)
-    (Network.layers net)
-
-let train_batch config optimizer net ~first_batch batch =
+let train_batch ws config optimizer net ~first_batch batch =
   (* Batch-norm layers normalize with statistics refreshed from the
      *current* batch before the gradient pass (a standard approximation:
      gradients do not flow through the statistics themselves).  The first
      batch sets the statistics outright. *)
-  if has_batch_norm net then begin
+  if Array.exists (fun rows -> Array.length rows > 0) ws.bn_rows then begin
     let momentum = if first_batch then 1.0 else config.bn_momentum in
-    let warm =
-      List.map (fun (x, _) -> Network.activations net x) (Array.to_list batch)
-    in
-    update_bn_stats net ~momentum warm
+    update_bn_stats ws net ~momentum batch
   end;
-  let total = Grad.zeros net in
+  Grad.fill ws.total 0.0;
+  let n_layers = Network.num_layers net in
   let loss_sum = ref 0.0 in
-  Array.iter
-    (fun (input, target) ->
-      let activations = Network.activations net input in
-      let output = activations.(Network.num_layers net) in
-      loss_sum := !loss_sum +. Loss.value config.loss ~output ~target;
-      let d_output = Loss.gradient config.loss ~output ~target in
-      let grads, _ = Grad.backward net ~activations ~d_output in
-      Grad.accumulate ~into:total grads)
-    batch;
+  for k = 0 to Array.length batch - 1 do
+    let input, target = batch.(k) in
+    Network.activations_into net input ws.acts;
+    let output = ws.acts.(n_layers) in
+    loss_sum := !loss_sum +. Loss.value config.loss ~output ~target;
+    let d_output = Loss.gradient config.loss ~output ~target in
+    Grad.backprop ws.backward net ~activations:ws.acts ~d_output ~into:ws.total
+      ~input_grad:false
+  done;
   let n = float_of_int (Array.length batch) in
-  Grad.scale total (1.0 /. n);
-  Optimizer.step optimizer net total;
+  Grad.scale ws.total (1.0 /. n);
+  Optimizer.step optimizer net ws.total;
   !loss_sum /. n
 
 let fit ?on_epoch ?rng config optimizer net dataset =
   let rng = match rng with Some r -> r | None -> Rng.create 0 in
+  let ws =
+    workspace net
+      ~batch_size:(Stdlib.min config.batch_size (Dataset.size dataset))
+  in
   let epoch_losses = Array.make config.epochs 0.0 in
   for epoch = 0 to config.epochs - 1 do
     let data =
@@ -97,7 +123,8 @@ let fit ?on_epoch ?rng config optimizer net dataset =
     Array.iteri
       (fun b batch ->
         let first_batch = epoch = 0 && b = 0 in
-        loss_acc := !loss_acc +. train_batch config optimizer net ~first_batch batch)
+        loss_acc :=
+          !loss_acc +. train_batch ws config optimizer net ~first_batch batch)
       batches;
     let mean_loss = !loss_acc /. float_of_int (Array.length batches) in
     epoch_losses.(epoch) <- mean_loss;
@@ -118,9 +145,12 @@ let evaluate loss net dataset =
 let binary_accuracy net dataset =
   if Dataset.target_dim dataset <> 1 then
     invalid_arg "Trainer.binary_accuracy: 1-dim targets required";
+  let acts = Network.activation_buffers net in
+  let n = Network.num_layers net in
   let correct = ref 0 in
   for i = 0 to Dataset.size dataset - 1 do
-    let logit = (Network.forward net dataset.Dataset.inputs.(i)).(0) in
+    Network.activations_into net dataset.Dataset.inputs.(i) acts;
+    let logit = acts.(n).(0) in
     let predicted = if logit >= 0.0 then 1.0 else 0.0 in
     if predicted = dataset.Dataset.targets.(i).(0) then incr correct
   done;

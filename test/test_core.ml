@@ -510,6 +510,89 @@ let test_workflow_prepare_cached_roundtrip () =
     (Network.forward p1.Workflow.perception x = Network.forward p2.Workflow.perception x);
   check_float "meta roundtrip" p1.Workflow.final_train_loss p2.Workflow.final_train_loss
 
+let fresh_cache_dir () =
+  let dir = Filename.temp_file "dpvcache" "" in
+  Sys.remove dir;
+  dir
+
+(* Everything [prepare] determines, compared bit for bit. *)
+let check_same_pipeline msg (expected : Workflow.prepared)
+    (got : Workflow.prepared) =
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check string) (msg ^ ": network")
+    (Dpv_nn.Serialize.to_string expected.Workflow.perception)
+    (Dpv_nn.Serialize.to_string got.Workflow.perception);
+  Alcotest.(check int64) (msg ^ ": final train loss")
+    (Int64.bits_of_float expected.Workflow.final_train_loss)
+    (Int64.bits_of_float got.Workflow.final_train_loss);
+  Alcotest.(check bool) (msg ^ ": val mae") true
+    (bits expected.Workflow.val_mae = bits got.Workflow.val_mae);
+  Alcotest.(check bool) (msg ^ ": bounds features") true
+    (Array.map bits expected.Workflow.bounds_features
+    = Array.map bits got.Workflow.bounds_features)
+
+let cache_entry dir ext =
+  match
+    List.filter
+      (fun f -> Filename.check_suffix f ext)
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [ f ] -> Filename.concat dir f
+  | files -> Alcotest.failf "expected one %s entry, found %d" ext (List.length files)
+
+let overwrite path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* A torn entry (what a crash mid-write used to leave) is a miss: it is
+   retrained, overwritten and then loads whole. *)
+let test_prepare_cached_torn_entry () =
+  let expected = Workflow.prepare tiny_setup in
+  let dir = Filename.concat (fresh_cache_dir ()) "a/b/c" in
+  check_same_pipeline "nested cache dir" expected
+    (Workflow.prepare_cached ~cache_dir:dir tiny_setup);
+  let net = cache_entry dir ".net" in
+  Alcotest.(check int) "entry mode" 0o644 (Unix.stat net).Unix.st_perm;
+  let ic = open_in_bin net in
+  let whole = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  overwrite net (String.sub whole 0 (String.length whole / 2));
+  check_same_pipeline "truncated .net" expected
+    (Workflow.prepare_cached ~cache_dir:dir tiny_setup);
+  overwrite (cache_entry dir ".meta") "";
+  check_same_pipeline "empty .meta" expected
+    (Workflow.prepare_cached ~cache_dir:dir tiny_setup);
+  check_same_pipeline "rewritten entry" expected
+    (Workflow.prepare_cached ~cache_dir:dir tiny_setup);
+  Alcotest.(check int) "no temporary files left" 2
+    (Array.length (Sys.readdir dir))
+
+(* The cache key omits the camera height, so two setups that differ only
+   in it share one entry; a network for the other image size is a
+   miss. *)
+let test_prepare_cached_camera_height () =
+  let camera = tiny_setup.Workflow.scenario.Dpv_scenario.Generator.camera in
+  let tall =
+    {
+      tiny_setup with
+      Workflow.scenario =
+        {
+          tiny_setup.Workflow.scenario with
+          Dpv_scenario.Generator.camera =
+            { camera with Dpv_scenario.Camera.height = 12 };
+        };
+    }
+  in
+  let dir = fresh_cache_dir () in
+  List.iter
+    (fun (name, setup) ->
+      check_same_pipeline name (Workflow.prepare setup)
+        (Workflow.prepare_cached ~cache_dir:dir setup);
+      Alcotest.(check int) (name ^ ": one shared entry") 2
+        (Array.length (Sys.readdir dir)))
+    [ ("height 6", tiny_setup); ("height 12", tall); ("height 6 again", tiny_setup) ]
+
 let test_psi_builders () =
   let far_left = Workflow.psi_steer_far_left ~threshold:2.0 () in
   Alcotest.(check bool) "far left holds" true (Risk.holds far_left [| 2.5; 0.0 |]);
@@ -555,5 +638,7 @@ let tests =
     Alcotest.test_case "workflow cnn setup" `Quick test_workflow_cnn_setup;
     Alcotest.test_case "workflow cnn end-to-end" `Slow test_workflow_cnn_end_to_end;
     Alcotest.test_case "workflow cache roundtrip" `Slow test_workflow_prepare_cached_roundtrip;
+    Alcotest.test_case "workflow cache torn entry" `Slow test_prepare_cached_torn_entry;
+    Alcotest.test_case "workflow cache camera height" `Slow test_prepare_cached_camera_height;
     Alcotest.test_case "psi builders" `Quick test_psi_builders;
   ]

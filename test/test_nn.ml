@@ -120,7 +120,10 @@ let test_network_forward_upto () =
   Alcotest.(check bool) "cut L is forward" true
     (Vec.approx_equal
        (Network.forward_upto small_net ~cut:3 x)
-       (Network.forward small_net x))
+       (Network.forward small_net x));
+  Alcotest.check_raises "wrong input dim names the network"
+    (Invalid_argument "Network.forward_upto: expected input dim 2, got 3")
+    (fun () -> ignore (Network.forward_upto small_net ~cut:1 [| 1.0; 2.0; 3.0 |]))
 
 let test_network_activations () =
   let x = [| 1.0; 2.0 |] in
@@ -130,7 +133,11 @@ let test_network_activations () =
   Alcotest.(check bool) "each matches forward_upto" true
     (List.for_all
        (fun l -> Vec.approx_equal acts.(l) (Network.forward_upto small_net ~cut:l x))
-       [ 0; 1; 2; 3 ])
+       [ 0; 1; 2; 3 ]);
+  let reused = Network.activation_buffers small_net in
+  Network.activations_into small_net [| -3.0; 0.5 |] reused;
+  Network.activations_into small_net x reused;
+  Alcotest.(check bool) "reused buffers match" true (reused = acts)
 
 let test_prefix_suffix_compose () =
   let x = [| -0.3; 0.8 |] in

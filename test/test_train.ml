@@ -342,6 +342,130 @@ let test_bn_training_updates_stats () =
       Alcotest.(check bool) "mean tracked" true (Float.abs (mean.(0) -. 10.0) < 1.0)
   | _ -> Alcotest.fail "expected bn"
 
+(* -- golden training results --
+
+   Digests of the exact bits each training path produced before the
+   in-place kernels were introduced.  Any change to the operands or the
+   order of a float operation in forward, backward, accumulation, the
+   batch-norm statistics, the optimizer or the shuffle shows here. *)
+
+let bits_digest floats =
+  let b = Buffer.create 4096 in
+  List.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) floats;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let layer_floats = function
+  | Layer.Dense { weights; bias } | Layer.Conv2d { weights; bias; _ } ->
+      List.concat_map Array.to_list (Array.to_list (Mat.to_rows weights))
+      @ Array.to_list bias
+  | Layer.Batch_norm { gamma; beta; mean; var; eps } ->
+      List.concat_map Array.to_list [ gamma; beta; mean; var; [| eps |] ]
+  | Layer.Relu | Layer.Sigmoid | Layer.Tanh -> []
+
+let net_digest net =
+  bits_digest (List.concat_map layer_floats (Network.layers net))
+
+let grad_floats (g : Grad.t) =
+  List.concat_map
+    (function
+      | Grad.Dense_grad { d_weights; d_bias } ->
+          List.concat_map Array.to_list (Array.to_list (Mat.to_rows d_weights))
+          @ Array.to_list d_bias
+      | Grad.Bn_grad { d_gamma; d_beta } ->
+          Array.to_list d_gamma @ Array.to_list d_beta
+      | Grad.No_grad -> [])
+    (Array.to_list g)
+
+let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+let check_digest = Alcotest.(check string)
+
+(* Test_core.tiny_setup is the pipeline of doc/campaign_equiv.json (and
+   of the served-jobs benchmark workload). *)
+let test_golden_characterizer () =
+  let prepared = Dpv_core.Workflow.prepare Test_core.tiny_setup in
+  let characterizer, report, _ =
+    Dpv_core.Workflow.train_characterizer prepared
+      ~property:Dpv_scenario.Oracle.bends_right
+  in
+  check_digest "head parameters" "c9582c2b3f5f420ad9c6bec5132aae0b"
+    (net_digest characterizer.Dpv_core.Characterizer.head);
+  Alcotest.(check int) "epochs run" 600 report.Dpv_core.Characterizer.epochs_run;
+  check_digest "final loss" "3fe278a57df868a2" (bits report.Dpv_core.Characterizer.final_loss);
+  check_digest "train accuracy" "3fe6800000000000"
+    (bits report.Dpv_core.Characterizer.train_accuracy)
+
+let test_golden_perception () =
+  let prepared = Dpv_core.Workflow.prepare (Test_workflow_determinism.tiny 21) in
+  check_digest "perception parameters" "d127faaf80ea22d8a19ad5cd475d97ed"
+    (net_digest prepared.Dpv_core.Workflow.perception);
+  check_digest "final train loss" "40247c5e14753dd8"
+    (bits prepared.Dpv_core.Workflow.final_train_loss)
+
+let test_golden_conv_training () =
+  let rng = Rng.create 405 in
+  let inputs =
+    Array.init 80 (fun _ -> Array.init 16 (fun _ -> Rng.float rng 1.0))
+  in
+  let targets = Array.map (fun x -> [| Vec.mean x |]) inputs in
+  let dataset = Dataset.create ~inputs ~targets in
+  let net =
+    Init.conv_net (Rng.create 406) ~in_height:4 ~in_width:4 ~channels:[ 2 ]
+      ~hidden:[ 3 ] ~output_dim:1
+  in
+  let opt = Optimizer.adam ~lr:0.01 net in
+  let config = { Trainer.default_config with epochs = 4; batch_size = 16 } in
+  let history = Trainer.fit ~rng config opt net dataset in
+  check_digest "conv net parameters" "34e56052142c0db6547590c9d2125713" (net_digest net);
+  check_digest "epoch losses" "3934b23b2f929f8460d75d7585708630"
+    (bits_digest (Array.to_list history.Trainer.epoch_losses))
+
+let test_golden_bn_input_gradient () =
+  let prepared = Dpv_core.Workflow.prepare (Test_workflow_determinism.tiny 21) in
+  let net = prepared.Dpv_core.Workflow.perception in
+  let image = prepared.Dpv_core.Workflow.bounds_images.(0) in
+  let activations = Network.activations net image in
+  let d_output =
+    Vec.init (Network.output_dim net) (fun i -> 0.5 -. float_of_int i)
+  in
+  let grads, d_input = Grad.backward net ~activations ~d_output in
+  check_digest "parameter gradient" "a21fdf5fbf59fb41dae9205e36510f01" (bits_digest (grad_floats grads));
+  check_digest "input gradient" "7274c9e82a65d7501cf6dadaea753d61" (bits_digest (Array.to_list d_input))
+
+(* A steady-state characterizer epoch (one Trainer epoch and the
+   accuracy check after it, as Characterizer.train runs them) on a
+   Dense/ReLU head allocates a few words per sample, not per-sample
+   activation or gradient arrays. *)
+let test_training_epoch_allocation () =
+  let rng = Rng.create 41 in
+  let n = 480 in
+  let inputs =
+    Array.init n (fun _ -> Array.init 16 (fun _ -> Rng.gaussian rng))
+  in
+  let targets =
+    Array.map (fun x -> [| (if x.(0) +. x.(1) > 0.0 then 1.0 else 0.0) |]) inputs
+  in
+  let dataset = Dataset.create ~inputs ~targets in
+  let head = Init.mlp (Rng.create 42) ~input_dim:16 ~hidden:[ 16 ] ~output_dim:1 in
+  let opt = Optimizer.adam ~lr:5e-3 head in
+  let config =
+    {
+      Trainer.default_config with
+      epochs = 1;
+      batch_size = 32;
+      loss = Loss.Bce_with_logits;
+    }
+  in
+  let epoch () =
+    ignore (Trainer.fit ~rng config opt head dataset);
+    ignore (Trainer.binary_accuracy head dataset)
+  in
+  epoch ();
+  let before = Gc.minor_words () in
+  epoch ();
+  let per_sample = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_sample > 64.0 then
+    Alcotest.failf "%.1f minor words per sample (at most 64)" per_sample
+
 let qcheck_gradcheck_random_nets =
   QCheck.Test.make ~count:20 ~name:"gradient check on random tanh nets"
     QCheck.(pair small_int (pair (float_range (-1.0) 1.0) (float_range (-1.0) 1.0)))
@@ -386,5 +510,10 @@ let tests =
     Alcotest.test_case "regression mae" `Quick test_regression_mae;
     Alcotest.test_case "identity BN insertion" `Quick test_insert_identity_bn_preserves_function;
     Alcotest.test_case "bn stats tracking" `Quick test_bn_training_updates_stats;
+    Alcotest.test_case "golden characterizer head" `Quick test_golden_characterizer;
+    Alcotest.test_case "golden perception network" `Quick test_golden_perception;
+    Alcotest.test_case "golden conv training" `Quick test_golden_conv_training;
+    Alcotest.test_case "golden bn input gradient" `Quick test_golden_bn_input_gradient;
+    Alcotest.test_case "training epoch allocation" `Quick test_training_epoch_allocation;
     QCheck_alcotest.to_alcotest qcheck_gradcheck_random_nets;
   ]
