@@ -1046,7 +1046,7 @@ let ext9_guided_solve ~scratch ~suffix ~head ~feature_box ~psi =
     ~finally:(fun () -> Absguide.set_scratch false)
     (fun () ->
       Absguide.set_scratch scratch;
-      let result, stats = Milp.solve_with_stats ~options encoding.Encode.model in
+      let result, stats = Milp_par.solve_with_stats ~options encoding.Encode.model in
       (result, stats, !guide_ns, !consults))
 
 let ext9_word = function
@@ -1658,7 +1658,7 @@ let bechamel_suite prepared =
                (Characterizer.decide_image characterizer ~perception image)));
       Test.make ~name:"e1_far_left/milp-solve"
         (Staged.stage (fun () ->
-             ignore (Milp.solve ~options:milp_options encoding.Encode.model)));
+             ignore (Milp_par.solve ~options:milp_options encoding.Encode.model)));
       Test.make ~name:"e2_straight/encode"
         (Staged.stage (fun () ->
              ignore

@@ -631,10 +631,3 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
           Milp.empty_guide_stats !instances)
   in
   { Milp.new_guide; guide_stats }
-
-(* Backward-compatible single-instance construction for callers that
-   want a plain stateless-looking guide value. *)
-let make ~suffix ~head ~feature_box ~suffix_relus ~head_relus ~psi
-    ~characterizer_margin : Milp.guide_factory =
-  factory ~suffix ~head ~feature_box ~suffix_relus ~head_relus ~psi
-    ~characterizer_margin ()

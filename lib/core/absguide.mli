@@ -105,14 +105,3 @@ val factory :
     from-scratch reference; a divergence (e.g. injected by the
     [absint-stale] site) increments [absint.stale_fallbacks] and falls
     back to a clean re-propagation. *)
-
-val make :
-  suffix:Dpv_nn.Network.t ->
-  head:Dpv_nn.Network.t ->
-  feature_box:Dpv_absint.Box_domain.t ->
-  suffix_relus:(int * Dpv_linprog.Lp.var option array) list ->
-  head_relus:(int * Dpv_linprog.Lp.var option array) list ->
-  psi:Dpv_spec.Risk.t ->
-  characterizer_margin:float ->
-  Dpv_linprog.Milp.guide_factory
-(** [factory] with no seed and no memory budget. *)

@@ -1,12 +1,12 @@
-(** Mixed-integer linear programming by branch-and-bound on {!Simplex}.
+(** Mixed-integer linear programming by branch-and-bound on {!Simplex}:
+    the result, statistics, guide and option types.
 
     Designed for the verification workload: feasibility queries over
     big-M ReLU encodings where the integer variables are the binary
     phase indicators.  Also solves general small MILPs.
 
-    This module is the sequential solver; {!Milp_par} runs the same
-    search across several domains and falls back to this code when a
-    single worker is requested. *)
+    The search itself is {!Milp_par.solve_with_stats}, one engine for
+    every worker count. *)
 
 type result =
   | Optimal of { objective : float; solution : float array }
@@ -42,13 +42,14 @@ type stats = {
   lp_solved : int;
   incumbent_updates : int;
   lp_time_s : float;            (** wall time spent inside {!Simplex} *)
-  per_worker_nodes : int array; (** node count by worker; [[|n|]] when
-                                    solved sequentially *)
-  steals : int;                 (** work-stealing events (0 sequential) *)
+  per_worker_nodes : int array; (** node count by worker; [[|n|]] with
+                                    one worker *)
+  steals : int;                 (** work-stealing events (0 with one
+                                    worker) *)
   max_queue_depth : int;        (** deepest any subproblem queue got,
                                     counting the seeded root — so it is
                                     at least 1 whenever a node was
-                                    explored, sequentially or not *)
+                                    explored, at any worker count *)
   pivots : int;                 (** simplex iterations across all node
                                     LPs, bound flips included *)
   warm_starts : int;            (** node LPs re-solved from a parent's
@@ -87,9 +88,11 @@ val empty_stats : stats
     still report a [stats] record. *)
 
 val add_stats : stats -> stats -> stats
-(** Componentwise sum (concatenating [per_worker_nodes], maxing
-    [max_queue_depth]) — used when one verification query is answered
-    by several MILP solves, e.g. under input bisection. *)
+(** Componentwise sum (maxing [max_queue_depth]) — used when one
+    verification query is answered by several MILP solves, e.g. under
+    input bisection.  [per_worker_nodes] is summed slot-wise: the
+    result has the longer array's length, and slot [i] adds worker [i]
+    of each solve. *)
 
 type branch_rule =
   | Most_fractional  (** classic most-fractional branching (default) *)
@@ -141,18 +144,17 @@ type guide_stats = {
     guides. *)
 
 val empty_guide_stats : guide_stats
-val sub_guide_stats : guide_stats -> guide_stats -> guide_stats
 
 type guide_factory = {
   new_guide : unit -> guide;
       (** a fresh guide instance.  Instances may carry mutable
-          propagation caches, so each is confined to the solver thread
-          that requested it: the sequential solver makes one per solve,
-          {!Milp_par} one per worker domain. *)
+          propagation caches, so each is confined to the worker that
+          requested it: the search makes one per worker, on first
+          use. *)
   guide_stats : unit -> guide_stats;
       (** counters aggregated over every instance this factory created.
-          Solvers snapshot before and after a search and record the
-          delta, so factories may be reused across solves. *)
+          The search snapshots before and after and records the delta,
+          so factories may be reused across solves. *)
 }
 (** How solvers obtain guides.  The factory itself must be safe to call
     from the domain that owns the solve; instance creation happens on
@@ -170,16 +172,17 @@ type options = {
                             the natural mode for feasibility queries.
                             Incumbents are reported as {!Feasible}
                             (never {!Optimal}) in this mode *)
-  workers : int;        (** domains for {!Milp_par}; this module ignores
-                            any value except to assert it is positive *)
-  task_batch : int;     (** nodes a {!Milp_par} pool task explores
-                            depth-first before handing leftover subtrees
-                            back to the pool (default 32; values < 1
-                            clamp to 1, which restores one-node tasks).
-                            Batching amortizes per-task pool overhead
-                            and keeps consecutive node LPs on the same
-                            worker handle's warm basis; this sequential
-                            module ignores it — its DFS is already one
+  workers : int;        (** search workers, [>= 1]: one searches a DFS
+                            list on the calling domain, more run a
+                            {!Pool} of that many domains *)
+  task_batch : int;     (** with [workers > 1], the nodes a pool task
+                            explores depth-first before handing leftover
+                            subtrees back to the pool (default 32; values
+                            < 1 clamp to 1, which restores one-node
+                            tasks).  Batching amortizes per-task pool
+                            overhead and keeps consecutive node LPs on
+                            the same worker handle's warm basis; one
+                            worker ignores it — its DFS is already one
                             unbroken batch *)
   time_limit_s : float option;
       (** wall-clock budget; [None] never expires.  Measured on a
@@ -205,44 +208,5 @@ val default_options : options
 
 val find_branch_var : tol:float -> Lp.t -> float array -> Lp.var option
 (** Most fractional integer variable, ties broken toward the lowest
-    variable index (deterministically, so sequential and parallel runs
-    branch identically on identical relaxations). *)
-
-val find_branch_var_widest :
-  tol:float -> Lp.t -> float array -> (Lp.var * float) list -> Lp.var option
-(** [Bound_width] selection: the fractional integer variable with the
-    largest width score, ties toward the lowest index; falls back to
-    {!find_branch_var} when no fractional variable was scored. *)
-
-val find_branch_var_ordered :
-  tol:float -> Lp.t -> float array -> (Lp.var * float) list -> Lp.var option
-(** [Guide_order] selection: the last fractional variable in the
-    guide's width list (network layer order, so the deepest crossing
-    binary); falls back to {!find_branch_var} when no fractional
-    variable was scored. *)
-
-val round_integral : tol:float -> Lp.t -> float array -> float array
-(** Snap near-integral integer variables of a relaxation solution to
-    exact integers before reporting it as an incumbent. *)
-
-val branch_children : Lp.t -> Lp.var -> float -> Lp.t * Lp.t
-(** [branch_children node v x] splits [node] at the fractional value
-    [x] of [v] into (preferred, other) child subproblems — preferred is
-    the branch nearer [x], which tends to reach integer-feasible points
-    sooner.  Shared by the sequential and parallel tree searches. *)
-
-val record_metrics : stats -> unit
-(** Fold a finished [stats] record into the global {!Dpv_obs.Metrics}
-    registry ([milp.*] counters, the [milp.max_queue_depth] high-water
-    gauge and the [simplex.*] counters).  Called automatically at the
-    end of every solve (sequential here, parallel in {!Milp_par}); the
-    fold-at-end design keeps the hot loop free of atomic traffic and
-    makes the campaign-level metric totals equal the sum of per-query
-    stats exactly. *)
-
-val observe_lp_s : float -> unit
-(** Record one node-LP wall time (seconds) into the [milp.lp_solve_ns]
-    latency histogram; shared with {!Milp_par}. *)
-
-val solve : ?options:options -> Lp.t -> result
-val solve_with_stats : ?options:options -> Lp.t -> result * stats
+    variable index (deterministically, so every worker count branches
+    identically on identical relaxations). *)

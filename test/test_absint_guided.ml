@@ -66,7 +66,7 @@ let test_root_unbounded_still_unbounded () =
   (* At the root an Unbounded relaxation is an honest report and must
      keep surfacing as the Unbounded verdict. *)
   with_faults [ (Faults.Lp_unbounded, 1) ] @@ fun () ->
-  match Milp.solve ~options:seq_options (branching_model ()) with
+  match Milp_par.solve ~options:seq_options (branching_model ()) with
   | Milp.Unbounded -> ()
   | r -> Alcotest.failf "expected root Unbounded, got %s" (classification r)
 
@@ -78,7 +78,7 @@ let test_nonroot_unbounded_truncates_sequential () =
      may never claim Optimal). *)
   with_faults [ (Faults.Lp_unbounded, 2) ] @@ fun () ->
   let model = branching_model () in
-  match Milp.solve ~options:seq_options model with
+  match Milp_par.solve ~options:seq_options model with
   | Milp.Feasible { objective; solution } ->
       check_float "sibling incumbent survives" 1.0 objective;
       Alcotest.(check bool) "incumbent is feasible" true
@@ -99,7 +99,7 @@ let test_nonroot_unbounded_infeasible_model_inconclusive () =
   let m = Lp.create () in
   let m, x = Lp.add_var ~kind:Lp.Binary m in
   let m = Lp.add_constraint m [ (2.0, x) ] Lp.Eq 1.0 in
-  match Milp.solve ~options:seq_options m with
+  match Milp_par.solve ~options:seq_options m with
   | Milp.Node_limit -> ()
   | r ->
       Alcotest.failf "expected inconclusive Node_limit, got %s"
@@ -129,7 +129,7 @@ let test_genuinely_unbounded_root_unchanged () =
   let m = Lp.create () in
   let m, x = Lp.add_var ~lo:0.0 ~kind:Lp.Integer m in
   let m = Lp.set_objective m Lp.Maximize [ (1.0, x) ] in
-  match Milp.solve ~options:seq_options m with
+  match Milp_par.solve ~options:seq_options m with
   | Milp.Unbounded -> ()
   | r -> Alcotest.failf "expected Unbounded, got %s" (classification r)
 
@@ -323,9 +323,9 @@ let test_neutral_guide_identical_to_plain () =
   let rng = Rng.create 4711 in
   for _ = 1 to 30 do
     let model = random_milp rng in
-    let plain, ps = Milp.solve_with_stats ~options:seq_options model in
+    let plain, ps = Milp_par.solve_with_stats ~options:seq_options model in
     let guided, gs =
-      Milp.solve_with_stats
+      Milp_par.solve_with_stats
         ~options:{ seq_options with Milp.absint = neutral }
         model
     in

@@ -20,6 +20,7 @@ module Statistical = Dpv_core.Statistical
 module Workflow = Dpv_core.Workflow
 module Lp = Dpv_linprog.Lp
 module Milp = Dpv_linprog.Milp
+module Milp_par = Dpv_linprog.Milp_par
 module Layer = Dpv_nn.Layer
 module Network = Dpv_nn.Network
 module Init = Dpv_nn.Init
@@ -105,7 +106,7 @@ let encoding_matches_concrete net head_net feature_box x =
     (fun i v ->
       model := Lp.add_constraint !model [ (1.0, e.Encode.feature_vars.(i)) ] Lp.Eq v)
     x;
-  match Milp.solve ~options:{ Milp.default_options with find_first = true } !model with
+  match Milp_par.solve ~options:{ Milp.default_options with find_first = true } !model with
   | Milp.Optimal { solution; _ } | Milp.Feasible { solution; _ } ->
       let out_concrete = Network.forward net x in
       let logit_concrete = (Network.forward head_net x).(0) in

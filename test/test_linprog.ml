@@ -3,6 +3,7 @@
 module Lp = Dpv_linprog.Lp
 module Simplex = Dpv_linprog.Simplex
 module Milp = Dpv_linprog.Milp
+module Milp_par = Dpv_linprog.Milp_par
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -165,7 +166,7 @@ let test_milp_knapsack () =
     Lp.set_objective m Lp.Maximize
       [ (8.0, a); (11.0, b); (6.0, c); (4.0, d) ]
   in
-  let obj, sol = expect_milp_optimal (Milp.solve m) in
+  let obj, sol = expect_milp_optimal (Milp_par.solve m) in
   check_float "objective" 21.0 obj;
   check_float "a" 0.0 sol.(a);
   check_float "b" 1.0 sol.(b);
@@ -181,7 +182,7 @@ let test_milp_integer_rounding_gap () =
   let m = Lp.add_constraint m [ (-2.0, x); (2.0, y) ] Lp.Le 1.0 in
   let m = Lp.add_constraint m [ (2.0, x); (2.0, y) ] Lp.Le 9.0 in
   let m = Lp.set_objective m Lp.Maximize [ (1.0, y) ] in
-  let obj, sol = expect_milp_optimal (Milp.solve m) in
+  let obj, sol = expect_milp_optimal (Milp_par.solve m) in
   check_float "objective" 2.0 obj;
   Alcotest.(check bool) "y integral" true (Float.abs (sol.(y) -. 2.0) < 1e-6)
 
@@ -190,7 +191,7 @@ let test_milp_infeasible () =
   let m = Lp.create () in
   let m, x = Lp.add_var ~kind:Lp.Binary m in
   let m = Lp.add_constraint m [ (2.0, x) ] Lp.Eq 1.0 in
-  match Milp.solve m with
+  match Milp_par.solve m with
   | Milp.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
@@ -201,7 +202,7 @@ let test_milp_find_first () =
   let m, b = Lp.add_var ~kind:Lp.Binary m in
   let m = Lp.add_constraint m [ (1.0, a); (1.0, b) ] Lp.Eq 1.0 in
   let options = { Milp.default_options with find_first = true } in
-  let _, sol = expect_milp_feasible (Milp.solve ~options m) in
+  let _, sol = expect_milp_feasible (Milp_par.solve ~options m) in
   check_float "sum" 1.0 (sol.(a) +. sol.(b))
 
 let test_lp_bounds_delta () =
@@ -241,7 +242,7 @@ let test_milp_stats () =
   let m = Lp.create () in
   let m, x = Lp.add_var ~lo:0.0 ~up:10.0 ~kind:Lp.Integer m in
   let m = Lp.set_objective m Lp.Maximize [ (1.0, x) ] in
-  let result, stats = Milp.solve_with_stats m in
+  let result, stats = Milp_par.solve_with_stats m in
   let _ = expect_milp_optimal result in
   Alcotest.(check bool) "explored >= 1" true (stats.Milp.nodes_explored >= 1)
 

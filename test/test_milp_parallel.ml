@@ -246,7 +246,7 @@ let expect_feasible_11 ~label model result =
 let test_truncated_incumbent_feasible_sequential () =
   let model = hard_incumbent_model 24 in
   let options = { seq_options with Milp.max_nodes = 200 } in
-  expect_feasible_11 ~label:"seq node limit" model (Milp.solve ~options model)
+  expect_feasible_11 ~label:"seq node limit" model (Milp_par.solve ~options model)
 
 let test_truncated_incumbent_feasible_parallel () =
   let model = hard_incumbent_model 24 in
@@ -260,7 +260,7 @@ let test_deadline_incumbent_feasible () =
     { seq_options with Milp.max_nodes = max_int; time_limit_s = Some 0.3 }
   in
   let started = Clock.now_s () in
-  expect_feasible_11 ~label:"seq deadline" model (Milp.solve ~options model);
+  expect_feasible_11 ~label:"seq deadline" model (Milp_par.solve ~options model);
   Alcotest.(check bool) "stopped near the deadline" true
     (Clock.now_s () -. started < 5.0)
 
@@ -268,13 +268,133 @@ let test_sequential_queue_depth_tracked () =
   (* The DFS stack on the subset-sum tree must reach depth >= 2 and the
      high-water mark is tracked incrementally (not recomputed per node). *)
   let model = hard_infeasible_model 8 in
-  let result, stats = Milp.solve_with_stats ~options:seq_options model in
+  let result, stats = Milp_par.solve_with_stats ~options:seq_options model in
   Alcotest.(check string) "proved infeasible" "infeasible"
     (classification result);
   Alcotest.(check bool) "stack depth tracked" true
     (stats.Milp.max_queue_depth >= 2);
   Alcotest.(check bool) "depth bounded by nodes" true
     (stats.Milp.max_queue_depth <= stats.Milp.nodes_explored + 1)
+
+(* Golden one-worker search: the exact bits of every answer and every
+   deterministic work count of the one-worker search, over a fixed
+   battery.  Any change to the node step, the branch rules, the guide
+   protocol or the DFS order moves the digest.  Never re-record it to
+   make a change pass. *)
+let float_bits x = Int64.to_string (Int64.bits_of_float x)
+
+let search_fingerprint result (s : Milp.stats) =
+  let answer =
+    match result with
+    | Milp.Optimal { objective; solution } | Milp.Feasible { objective; solution }
+      ->
+        float_bits objective :: Array.to_list (Array.map float_bits solution)
+    | _ -> []
+  in
+  String.concat " "
+    ((classification result :: answer)
+    @ List.map string_of_int
+        [
+          s.Milp.nodes_explored;
+          s.Milp.lp_solved;
+          s.Milp.pivots;
+          s.Milp.warm_starts;
+          s.Milp.cold_starts;
+          s.Milp.incumbent_updates;
+          s.Milp.max_queue_depth;
+        ]
+    @ Array.to_list (Array.map string_of_int s.Milp.per_worker_nodes))
+
+let guided_fingerprint branch_rule =
+  let module Verify = Dpv_core.Verify in
+  let module G = Test_absint_guided in
+  let r =
+    Verify.verify ~absint:true
+      ~milp_options:
+        { Verify.default_milp_options with Milp.workers = 1; branch_rule }
+      ~perception:G.deep_perception ~characterizer:G.deep_characterizer
+      ~psi:G.deep_psi ~bounds:G.deep_bounds ()
+  in
+  let s = r.Verify.milp_stats in
+  let verdict =
+    match r.Verify.verdict with
+    | Verify.Safe _ -> "safe"
+    | Verify.Unsafe { features; _ } ->
+        String.concat " "
+          ("unsafe" :: Array.to_list (Array.map float_bits features))
+    | Verify.Unknown reason -> "unknown " ^ reason
+  in
+  String.concat " "
+    (verdict
+    :: List.map string_of_int
+         [
+           s.Milp.nodes_explored;
+           s.Milp.lp_solved;
+           s.Milp.pivots;
+           s.Milp.warm_starts;
+           s.Milp.cold_starts;
+           s.Milp.incumbent_updates;
+           s.Milp.max_queue_depth;
+           s.Milp.absint_prunes;
+           s.Milp.absint_phase_fixes;
+           s.Milp.absint_layers_propagated;
+           s.Milp.absint_layers_saved;
+           s.Milp.absint_incr_hits;
+         ]
+    @ Array.to_list (Array.map string_of_int s.Milp.per_worker_nodes))
+
+let test_golden_one_worker_search () =
+  let one_worker model options =
+    let result, stats = Milp_par.solve_with_stats ~options model in
+    search_fingerprint result stats
+  in
+  let rng = Rng.create 20260807 in
+  let random = List.init 40 (fun _ -> one_worker (random_milp rng) seq_options) in
+  let lines =
+    random
+    @ [
+        one_worker (hard_infeasible_model 10) seq_options;
+        one_worker (hard_incumbent_model 24)
+          { seq_options with Milp.max_nodes = 200 };
+      ]
+    @ List.map guided_fingerprint
+        [ Milp.Most_fractional; Milp.Bound_width; Milp.Guide_order ]
+  in
+  Alcotest.(check string)
+    "one-worker search digest" "722aa7ba6a6004585bc6041bcf4b0469"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* A bisected query folds its sub-box solves with [add_stats]: the
+   merged record must keep one slot per worker, not one per sub-box. *)
+let test_add_stats_per_worker_slots () =
+  let stats per_worker_nodes =
+    {
+      Milp.empty_stats with
+      Milp.nodes_explored = Array.fold_left ( + ) 0 per_worker_nodes;
+      per_worker_nodes;
+    }
+  in
+  let merged =
+    List.fold_left Milp.add_stats Milp.empty_stats
+      [ stats [| 3 |]; stats [| 5 |]; stats [| 23 |]; stats [| 15 |] ]
+  in
+  Alcotest.(check (array int)) "one-worker solves share one slot" [| 46 |]
+    merged.Milp.per_worker_nodes;
+  Alcotest.(check bool) "no solver line for one worker" false
+    (Test_faults.contains ~needle:"solver:"
+       (Format.asprintf "%a" Dpv_core.Report.pp_milp_stats merged));
+  List.iter
+    (fun (label, a, b) ->
+      let m = Milp.add_stats a b in
+      Alcotest.(check (array int)) (label ^ ": slot-wise sum") [| 8; 2; 3; 4 |]
+        m.Milp.per_worker_nodes;
+      Alcotest.(check int) (label ^ ": slots total the nodes")
+        m.Milp.nodes_explored
+        (Array.fold_left ( + ) 0 m.Milp.per_worker_nodes))
+    [
+      ("one + four", stats [| 7 |], stats [| 1; 2; 3; 4 |]);
+      ("four + one", stats [| 1; 2; 3; 4 |], stats [| 7 |]);
+    ]
 
 let test_branch_var_lowest_index_tie () =
   (* Two integer variables equally fractional at 0.5: branching must
@@ -340,6 +460,10 @@ let tests =
       test_deadline_incumbent_feasible;
     Alcotest.test_case "sequential queue depth tracked" `Quick
       test_sequential_queue_depth_tracked;
+    Alcotest.test_case "golden one-worker search" `Quick
+      test_golden_one_worker_search;
+    Alcotest.test_case "add_stats sums per-worker slots" `Quick
+      test_add_stats_per_worker_slots;
     Alcotest.test_case "branch-var tie-break by lowest index" `Quick
       test_branch_var_lowest_index_tie;
   ]

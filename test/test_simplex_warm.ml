@@ -5,6 +5,7 @@
 module Lp = Dpv_linprog.Lp
 module Simplex = Dpv_linprog.Simplex
 module Milp = Dpv_linprog.Milp
+module Milp_par = Dpv_linprog.Milp_par
 module Rng = Dpv_tensor.Rng
 
 let check_float = Alcotest.(check (float 1e-6))
@@ -201,7 +202,7 @@ let test_milp_counters_surface () =
   let m, c = Lp.add_var ~kind:Lp.Binary m in
   let m = Lp.add_constraint m [ (1.0, a); (2.0, b); (3.0, c) ] Lp.Le 5.0 in
   let m = Lp.set_objective m Lp.Maximize [ (6.0, a); (10.0, b); (12.0, c) ] in
-  let result, stats = Milp.solve_with_stats m in
+  let result, stats = Milp_par.solve_with_stats m in
   (match result with
   | Milp.Optimal { objective; _ } -> check_float "objective" 22.0 objective
   | _ -> Alcotest.fail "expected optimal");
@@ -250,7 +251,7 @@ let test_golden_feasibility_milp () =
   let psi = Risk.make ~name:"golden" [ Risk.output_ge 0 2.0 ] in
   let e = Encode.build ~suffix ~head ~feature_box ~psi () in
   let result, st =
-    Milp.solve_with_stats
+    Milp_par.solve_with_stats
       ~options:{ Milp.default_options with Milp.find_first = true }
       e.Encode.model
   in

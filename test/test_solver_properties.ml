@@ -5,6 +5,7 @@
 module Lp = Dpv_linprog.Lp
 module Simplex = Dpv_linprog.Simplex
 module Milp = Dpv_linprog.Milp
+module Milp_par = Dpv_linprog.Milp_par
 module Rng = Dpv_tensor.Rng
 
 (* Random LP in inequality form  max c'x  s.t. Ax <= b, 0 <= x <= u,
@@ -164,7 +165,7 @@ let qcheck_milp_vs_bruteforce =
         done;
         !best
       in
-      match Milp.solve !m with
+      match Milp_par.solve !m with
       | Milp.Optimal { objective; _ } -> Float.abs (objective -. brute) <= 1e-6
       | Milp.Feasible _ | Milp.Infeasible | Milp.Unbounded | Milp.Node_limit
       | Milp.Timeout ->
@@ -208,7 +209,7 @@ let qcheck_milp_equalities_vs_bruteforce =
         done;
         !best
       in
-      match Milp.solve !m with
+      match Milp_par.solve !m with
       | Milp.Optimal { objective; _ } -> Float.abs (objective -. brute) <= 1e-6
       | Milp.Feasible _ | Milp.Infeasible | Milp.Unbounded | Milp.Node_limit
       | Milp.Timeout ->
@@ -247,7 +248,7 @@ let qcheck_milp_find_first_feasible =
         !found
       in
       let options = { Milp.default_options with find_first = true } in
-      match Milp.solve ~options !m with
+      match Milp_par.solve ~options !m with
       | Milp.Feasible { solution; _ } ->
           brute_feasible && Lp.check_feasible ~tol:1e-6 !m solution
       (* find_first incumbents must come back Feasible, never Optimal *)
