@@ -163,7 +163,9 @@ let milp_options ?(branch_rule = Milp.default_options.Milp.branch_rule) p =
 (* Characterizer training and bounds fitting are memoized across specs;
    both are deterministic in (setup.seed, property, cut), so verdicts
    match individual `dpv verify` runs — and a resident server amortizes
-   one submission's training for every later one. *)
+   one submission's training for every later one.  Under the memo, a
+   pipeline from [Workflow.prepare_cached] loads each head from the
+   model cache, so only the first process to need a head trains it. *)
 type builder = {
   prepared : Workflow.prepared;
   characterizers : (string * int, Characterizer.t) Hashtbl.t;

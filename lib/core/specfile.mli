@@ -50,7 +50,9 @@ type builder
     setup seed, so memoized queries verify identically to freshly
     built ones.  Thread-safe — the serve daemon shares one builder
     across client connections, amortizing one submission's training
-    for every later one. *)
+    for every later one.  Heads come from
+    {!Workflow.train_characterizer}, so a pipeline from
+    {!Workflow.prepare_cached} loads them from its model cache. *)
 
 val builder : Workflow.prepared -> builder
 

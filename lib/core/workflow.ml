@@ -80,6 +80,8 @@ let cnn_setup ?(channels = [ 4; 8 ]) ?(hidden = [ 16; 8 ]) setup =
   | [] -> invalid_arg "Workflow.cnn_setup: no ReLU cuts"
 
 
+type cache = { cache_dir : string; perception_key : string }
+
 type prepared = {
   setup : setup;
   perception : Network.t;
@@ -87,6 +89,7 @@ type prepared = {
   val_mae : float array;
   bounds_features : Vec.t array;
   bounds_images : Vec.t array;
+  cache : cache option;
 }
 
 let image_dim setup = Camera.input_dim setup.scenario.Generator.camera
@@ -103,7 +106,15 @@ let finish_preparation setup perception ~final_train_loss ~val_mae =
   let bounds_features =
     Characterizer.features ~perception ~cut:setup.cut bounds_images
   in
-  { setup; perception; final_train_loss; val_mae; bounds_features; bounds_images }
+  {
+    setup;
+    perception;
+    final_train_loss;
+    val_mae;
+    bounds_features;
+    bounds_images;
+    cache = None;
+  }
 
 let prepare ?(quiet = true) setup =
   let data_rng = Rng.create setup.seed in
@@ -204,13 +215,13 @@ let rec mkdir_p dir =
    so a reader, a concurrent writer or a crash sees the old entry or
    the whole new one, never a torn one.  The temporary file is created
    private; the entry gets the usual 0644. *)
-let write_atomically path write =
+let write_atomically path contents =
   let tmp =
     Filename.temp_file ~temp_dir:(Filename.dirname path)
       (Filename.basename path) ".tmp"
   in
   match
-    write tmp;
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc contents);
     Unix.chmod tmp 0o644
   with
   | () -> Sys.rename tmp path
@@ -218,53 +229,75 @@ let write_atomically path write =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-let read_meta path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      match
-        String.split_on_char ' ' (input_line ic) |> List.filter (( <> ) "")
-      with
-      | loss :: maes ->
-          (float_of_string loss, Array.of_list (List.map float_of_string maes))
-      | [] -> failwith "Workflow: corrupt cache meta")
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* An entry that does not load whole, or whose network does not take
-   this setup's images (the digest omits the camera height), is a
-   miss. *)
-let load_cached setup ~model_path ~meta_path =
-  if not (Sys.file_exists model_path && Sys.file_exists meta_path) then None
-  else
-    match (Serialize.load ~path:model_path, read_meta meta_path) with
-    | perception, (final_train_loss, val_mae)
-      when Network.input_dim perception = image_dim setup ->
-        Some (finish_preparation setup perception ~final_train_loss ~val_mae)
-    | _ -> None
-    | exception (Failure _ | Invalid_argument _ | End_of_file | Sys_error _) ->
-        None
+let read_fields path =
+  In_channel.with_open_bin path (fun ic ->
+      match In_channel.input_line ic with
+      | Some line -> String.split_on_char ' ' line |> List.filter (( <> ) "")
+      | None -> [])
 
-let prepare_cached ?(quiet = true) ~cache_dir setup =
-  let digest = setup_digest setup in
-  let model_path = Filename.concat cache_dir ("perception-" ^ digest ^ ".net") in
-  let meta_path = Filename.concat cache_dir ("perception-" ^ digest ^ ".meta") in
-  match load_cached setup ~model_path ~meta_path with
-  | Some prepared -> prepared
+let meta_line fields = String.concat " " fields ^ "\n"
+let hex = Printf.sprintf "%h"
+
+(* A model-cache entry is two files: [<name>.net], a network in the
+   [Serialize] format, and [<name>.meta], one line of fields.  [decode]
+   turns their contents into a value, or [None] when the entry does not
+   fit the caller.  An entry that is missing, does not load whole or
+   does not fit is a miss: [build] makes the value and the two texts
+   that are written over the entry.  A cache that cannot be written
+   (read-only, as a shared one may be, or full) costs only the rebuild:
+   the value is returned all the same. *)
+let load_or_build ~cache_dir ~name ~decode ~build =
+  let net_path = Filename.concat cache_dir (name ^ ".net") in
+  let meta_path = Filename.concat cache_dir (name ^ ".meta") in
+  let hit =
+    try decode ~net:(read_file net_path) ~meta:(read_fields meta_path)
+    with Failure _ | Invalid_argument _ | End_of_file | Sys_error _ -> None
+  in
+  match hit with
+  | Some value -> value
   | None ->
-      mkdir_p cache_dir;
+      let value, net, meta = build () in
+      (try
+         mkdir_p cache_dir;
+         write_atomically net_path net;
+         write_atomically meta_path meta
+       with Sys_error _ | Unix.Unix_error _ -> ());
+      value
+
+(* The perception key is the digest of the entry's network text, which
+   is what a characterizer trained on this pipeline depends on. *)
+let prepare_cached ?(quiet = true) ~cache_dir setup =
+  let with_cache net prepared =
+    {
+      prepared with
+      cache =
+        Some { cache_dir; perception_key = Digest.to_hex (Digest.string net) };
+    }
+  in
+  (* A network that does not take this setup's images is a miss: the
+     key omits the camera height. *)
+  load_or_build ~cache_dir
+    ~name:("perception-" ^ setup_digest setup)
+    ~decode:(fun ~net ~meta ->
+      let perception = Serialize.of_string net in
+      match meta with
+      | loss :: maes when Network.input_dim perception = image_dim setup ->
+          Some
+            (with_cache net
+               (finish_preparation setup perception
+                  ~final_train_loss:(float_of_string loss)
+                  ~val_mae:(Array.of_list (List.map float_of_string maes))))
+      | _ -> None)
+    ~build:(fun () ->
       let prepared = prepare ~quiet setup in
-      write_atomically model_path (fun path ->
-          Serialize.save prepared.perception ~path);
-      write_atomically meta_path (fun path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              Printf.fprintf oc "%h %s\n" prepared.final_train_loss
-                (String.concat " "
-                   (Array.to_list
-                      (Array.map (Printf.sprintf "%h") prepared.val_mae)))));
-      prepared
+      let net = Serialize.to_string prepared.perception in
+      ( with_cache net prepared,
+        net,
+        meta_line
+          (List.map hex
+             (prepared.final_train_loss :: Array.to_list prepared.val_mae)) ))
 
 let features_at prepared ~cut =
   if cut = prepared.setup.cut then prepared.bounds_features
@@ -327,21 +360,85 @@ let characterizer_data prepared ~property =
     Array.sub labels n_train (n - n_train),
     rng )
 
+(* Bump when a change to characterizer training moves the bits it
+   produces (the golden digests in test/test_train.ml flag one), so
+   that heads cached by older code miss. *)
+let characterizer_format = 1
+
+(* Everything training reads: the perception network, the scenario and
+   the seed and sample count that draw the frames, the cut, the
+   property and the resolved training config.  Marshal covers every
+   field of the two configs, including fields added later. *)
+let characterizer_key cache setup ~config ~cut ~property_name =
+  Marshal.to_string
+    ( characterizer_format,
+      cache.perception_key,
+      setup.scenario,
+      setup.seed,
+      setup.characterizer_samples,
+      cut,
+      property_name,
+      (config : Characterizer.train_config) )
+    [ Marshal.No_sharing ]
+  |> Digest.string |> Digest.to_hex
+
 let train_characterizer ?config ?cut prepared ~property =
   let cut = Option.value cut ~default:prepared.setup.cut in
-  let train_images, train_labels, val_images, val_labels, rng =
-    characterizer_data prepared ~property
+  let property_name = property.Property.name in
+  let train () =
+    let train_images, train_labels, val_images, val_labels, rng =
+      characterizer_data prepared ~property
+    in
+    let characterizer, report =
+      Characterizer.train ?config ~rng ~perception:prepared.perception ~cut
+        ~property_name ~images:train_images ~labels:train_labels ()
+    in
+    let val_accuracy =
+      Characterizer.accuracy characterizer ~perception:prepared.perception
+        ~images:val_images ~labels:val_labels
+    in
+    (characterizer, report, val_accuracy)
   in
-  let characterizer, report =
-    Characterizer.train ?config ~rng ~perception:prepared.perception ~cut
-      ~property_name:property.Property.name ~images:train_images
-      ~labels:train_labels ()
-  in
-  let val_accuracy =
-    Characterizer.accuracy characterizer ~perception:prepared.perception
-      ~images:val_images ~labels:val_labels
-  in
-  (characterizer, report, val_accuracy)
+  match prepared.cache with
+  | None -> train ()
+  | Some cache ->
+      let config =
+        Option.value config ~default:Characterizer.default_train_config
+      in
+      (* A head that does not read the perception's features at [cut], or
+         that is not one logit, is a miss. *)
+      load_or_build ~cache_dir:cache.cache_dir
+        ~name:
+          ("characterizer-"
+          ^ characterizer_key cache prepared.setup ~config ~cut ~property_name)
+        ~decode:(fun ~net ~meta ->
+          let head = Serialize.of_string net in
+          match meta with
+          | [ train_accuracy; final_loss; epochs_run; perfect; val_accuracy ]
+            when Network.input_dim head = (Network.dims prepared.perception).(cut)
+                 && Network.output_dim head = 1 ->
+              Some
+                ( { Characterizer.head; cut; property_name },
+                  {
+                    Characterizer.train_accuracy = float_of_string train_accuracy;
+                    final_loss = float_of_string final_loss;
+                    epochs_run = int_of_string epochs_run;
+                    perfect_on_train = bool_of_string perfect;
+                  },
+                  float_of_string val_accuracy )
+          | _ -> None)
+        ~build:(fun () ->
+          let ((characterizer, report, val_accuracy) as trained) = train () in
+          ( trained,
+            Serialize.to_string characterizer.Characterizer.head,
+            meta_line
+              [
+                hex report.Characterizer.train_accuracy;
+                hex report.final_loss;
+                string_of_int report.epochs_run;
+                string_of_bool report.perfect_on_train;
+                hex val_accuracy;
+              ] ))
 
 let bounds_spec_of prepared ~cut = function
   | Static domain -> Verify.Static_bounds (domain, image_box prepared)
@@ -351,19 +448,10 @@ let bounds_spec_of prepared ~cut = function
 let run_case ?characterizer_config ?milp_options ?cut ?absint ?bisect prepared
     ~property ~psi ~strategy =
   let cut = Option.value cut ~default:prepared.setup.cut in
-  let train_images, train_labels, val_images, val_labels, rng =
-    characterizer_data prepared ~property
+  let characterizer, characterizer_report, characterizer_val_accuracy =
+    train_characterizer ?config:characterizer_config ~cut prepared ~property
   in
-  let characterizer, characterizer_report =
-    Characterizer.train ?config:characterizer_config ~rng
-      ~perception:prepared.perception ~cut
-      ~property_name:property.Property.name ~images:train_images
-      ~labels:train_labels ()
-  in
-  let characterizer_val_accuracy =
-    Characterizer.accuracy characterizer ~perception:prepared.perception
-      ~images:val_images ~labels:val_labels
-  in
+  let _, _, val_images, val_labels, _ = characterizer_data prepared ~property in
   let bounds = bounds_spec_of prepared ~cut strategy in
   let result =
     Verify.verify ?milp_options ?absint ?bisect ~perception:prepared.perception

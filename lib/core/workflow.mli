@@ -44,6 +44,12 @@ val cut_options : setup -> int list
 val relu_cuts : Dpv_nn.Network.t -> int list
 (** ReLU layer indices of a concrete network, deepest first. *)
 
+type cache = {
+  cache_dir : string;  (** the model cache the perception came from *)
+  perception_key : string;
+      (** digest of the perception network's serialized content *)
+}
+
 type prepared = {
   setup : setup;
   perception : Dpv_nn.Network.t;
@@ -54,11 +60,17 @@ type prepared = {
   bounds_images : Dpv_tensor.Vec.t array;
       (** the frames behind [bounds_features] (kept so features can be
           recomputed at other cut layers) *)
+  cache : cache option;
+      (** where {!train_characterizer} keeps the heads it trains on
+          [perception]: [Some] after {!prepare_cached}, [None] after
+          {!prepare}.  A record update that replaces [perception] must
+          also set this to [None]. *)
 }
 
 val prepare : ?quiet:bool -> setup -> prepared
 (** Trains the perception network from scratch (deterministic in
-    [setup.seed]). *)
+    [setup.seed]).  The result has no [cache], so nothing trained on it
+    is written anywhere. *)
 
 val prepare_cached : ?quiet:bool -> cache_dir:string -> setup -> prepared
 (** Like {!prepare} but persists the trained network under [cache_dir]
@@ -66,7 +78,11 @@ val prepare_cached : ?quiet:bool -> cache_dir:string -> setup -> prepared
     repeated runs (benches, examples) skip training.  Entries are
     written through a temporary file and a rename; an entry that fails
     to load, or whose network's input dimension is not this setup's
-    image dimension, is a miss: it is retrained and overwritten. *)
+    image dimension, is a miss: it is retrained and overwritten.  A
+    [cache_dir] that cannot be written costs only the training.  The
+    result records [cache_dir], so the characterizers later trained on
+    it are cached there too; this function itself writes only the
+    perception entry. *)
 
 val features_at : prepared -> cut:int -> Dpv_tensor.Vec.t array
 (** Bounds features recomputed at a different cut layer. *)
@@ -115,8 +131,9 @@ val run_case :
   strategy:strategy ->
   case_report
 (** The full Figure-1 pipeline for one [(phi, psi, S)] triple.  [cut]
-    defaults to [setup.cut]; [absint]/[bisect] pass through to
-    {!Verify.verify}. *)
+    defaults to [setup.cut]; the characterizer comes from
+    {!train_characterizer} (so from the model cache when [prepared] has
+    one); [absint]/[bisect] pass through to {!Verify.verify}. *)
 
 val train_characterizer :
   ?config:Characterizer.train_config ->
@@ -125,7 +142,19 @@ val train_characterizer :
   property:Dpv_scenario.Scene.t Dpv_spec.Property.t ->
   Characterizer.t * Characterizer.train_report * float
 (** (characterizer, training report, validation accuracy) — the E3
-    trainability probe without running verification. *)
+    trainability probe without running verification.  [cut] defaults
+    to [setup.cut].
+
+    When [prepared] has a [cache], the triple is loaded from, or trained
+    once and written to, an entry in that directory
+    ([characterizer-<key>.net] and [.meta], both in exact hex floats),
+    so a hit returns exactly the bits training would.  The key digests
+    everything training reads: the perception network's content, the
+    scenario config, [setup.seed], [setup.characterizer_samples], [cut],
+    the property's name and the resolved [config].  An entry that fails
+    to load, or whose head does not take the perception's width at
+    [cut] or does not output one logit, is a miss: it is retrained and
+    overwritten atomically, as perception entries are. *)
 
 val image_box : prepared -> Dpv_absint.Box_domain.t
 (** The input region for static analysis: all pixels in [0,1]. *)

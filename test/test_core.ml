@@ -594,6 +594,238 @@ let test_prepare_cached_camera_height () =
         (Array.length (Sys.readdir dir)))
     [ ("height 6", tiny_setup); ("height 12", tall); ("height 6 again", tiny_setup) ]
 
+(* Digest of a network's exact parameter bits; the golden training
+   cases in Test_train pin these. *)
+let bits_digest floats =
+  let b = Buffer.create 4096 in
+  List.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) floats;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let layer_floats = function
+  | Layer.Dense { weights; bias } | Layer.Conv2d { weights; bias; _ } ->
+      List.concat_map Array.to_list (Array.to_list (Mat.to_rows weights))
+      @ Array.to_list bias
+  | Layer.Batch_norm { gamma; beta; mean; var; eps } ->
+      List.concat_map Array.to_list [ gamma; beta; mean; var; [| eps |] ]
+  | Layer.Relu | Layer.Sigmoid | Layer.Tanh -> []
+
+let net_digest net =
+  bits_digest (List.concat_map layer_floats (Network.layers net))
+
+(* Everything [train_characterizer] returns, compared bit for bit. *)
+let check_same_characterizer msg (c1, (r1 : Characterizer.train_report), a1)
+    (c2, (r2 : Characterizer.train_report), a2) =
+  let bits = Int64.bits_of_float in
+  Alcotest.(check string) (msg ^ ": head")
+    (Dpv_nn.Serialize.to_string c1.Characterizer.head)
+    (Dpv_nn.Serialize.to_string c2.Characterizer.head);
+  Alcotest.(check (pair int string)) (msg ^ ": cut and property")
+    (c1.Characterizer.cut, c1.Characterizer.property_name)
+    (c2.Characterizer.cut, c2.Characterizer.property_name);
+  Alcotest.(check (list int64)) (msg ^ ": report and accuracy")
+    [ bits r1.train_accuracy; bits r1.final_loss; bits a1 ]
+    [ bits r2.train_accuracy; bits r2.final_loss; bits a2 ];
+  Alcotest.(check (pair int bool)) (msg ^ ": epochs and perfect")
+    (r1.epochs_run, r1.perfect_on_train)
+    (r2.epochs_run, r2.perfect_on_train)
+
+let characterizer_entries dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> String.starts_with ~prefix:"characterizer-" f)
+  |> List.sort compare
+
+let read_whole path = In_channel.with_open_bin path In_channel.input_all
+
+(* A hit returns exactly what training produced on the miss, which is
+   the golden head of Test_train, and reads the entry without
+   rewriting it. *)
+let test_characterizer_cache_hit () =
+  let dir = fresh_cache_dir () in
+  let prepared = Workflow.prepare_cached ~cache_dir:dir tiny_setup in
+  Alcotest.(check (option string)) "cache dir recorded" (Some dir)
+    (Option.map (fun c -> c.Workflow.cache_dir) prepared.Workflow.cache);
+  let train () =
+    Workflow.train_characterizer prepared
+      ~property:Dpv_scenario.Oracle.bends_right
+  in
+  let ((missed, _, _) as miss) = train () in
+  let entries = characterizer_entries dir in
+  Alcotest.(check int) "one entry, two files" 2 (List.length entries);
+  let inodes () =
+    List.map (fun f -> (Unix.stat (Filename.concat dir f)).Unix.st_ino) entries
+  in
+  let written = inodes () in
+  let hit = train () in
+  check_same_characterizer "hit" miss hit;
+  Alcotest.(check (list int)) "entry not rewritten" written (inodes ());
+  Alcotest.(check string) "golden head" "c9582c2b3f5f420ad9c6bec5132aae0b"
+    (net_digest missed.Characterizer.head);
+  check_same_characterizer "reloaded pipeline"
+    miss
+    (Workflow.train_characterizer
+       (Workflow.prepare_cached ~cache_dir:dir tiny_setup)
+       ~property:Dpv_scenario.Oracle.bends_right);
+  Alcotest.(check int) "two entries, no temporary files" 4
+    (Array.length (Sys.readdir dir))
+
+(* Each input that training reads gives a new entry.  A setup that
+   differs only in camera height shares the perception entry and, at
+   cut 6, the head's input width, yet must not load the other head. *)
+let test_characterizer_cache_keys () =
+  let dir = fresh_cache_dir () in
+  let cached setup = Workflow.prepare_cached ~cache_dir:dir setup in
+  let base = cached tiny_setup in
+  let bends_right = Dpv_scenario.Oracle.bends_right in
+  let camera = tiny_setup.Workflow.scenario.Dpv_scenario.Generator.camera in
+  let tall =
+    {
+      tiny_setup with
+      Workflow.scenario =
+        {
+          tiny_setup.Workflow.scenario with
+          Dpv_scenario.Generator.camera =
+            { camera with Dpv_scenario.Camera.height = 12 };
+        };
+    }
+  in
+  (* The same network under a setup that differs in what draws the
+     characterizer's frames. *)
+  let redrawn setup = { base with Workflow.setup } in
+  let rainy =
+    {
+      tiny_setup.Workflow.scenario with
+      Dpv_scenario.Generator.rain_probability = 0.5;
+    }
+  in
+  let short_config =
+    { Characterizer.default_train_config with Characterizer.epochs = 40 }
+  in
+  let variants =
+    [
+      ("base", fun () -> Workflow.train_characterizer base ~property:bends_right);
+      ( "other cut",
+        fun () -> Workflow.train_characterizer ~cut:3 base ~property:bends_right );
+      ( "other property",
+        fun () ->
+          Workflow.train_characterizer base
+            ~property:Dpv_scenario.Oracle.bends_left );
+      ( "other sample count",
+        fun () ->
+          Workflow.train_characterizer
+            (redrawn { tiny_setup with characterizer_samples = 60 })
+            ~property:bends_right );
+      ( "other seed",
+        fun () ->
+          Workflow.train_characterizer
+            (redrawn { tiny_setup with seed = 4 })
+            ~property:bends_right );
+      ( "other scenario",
+        fun () ->
+          Workflow.train_characterizer
+            (redrawn { tiny_setup with scenario = rainy })
+            ~property:bends_right );
+      ( "other train config",
+        fun () ->
+          Workflow.train_characterizer ~config:short_config base
+            ~property:bends_right );
+      ( "other perception network",
+        fun () ->
+          Workflow.train_characterizer
+            (cached { tiny_setup with perception_epochs = 5 })
+            ~property:bends_right );
+      ( "other camera height",
+        fun () -> Workflow.train_characterizer (cached tall) ~property:bends_right
+      );
+    ]
+  in
+  List.iteri
+    (fun i (name, train) ->
+      let trained = train () in
+      Alcotest.(check int) (name ^ ": new entry")
+        (2 * (i + 1))
+        (List.length (characterizer_entries dir));
+      check_same_characterizer (name ^ ": hit") trained (train ()))
+    variants;
+  let tall_head, _, _ =
+    Workflow.train_characterizer (cached tall) ~property:bends_right
+  in
+  Alcotest.(check int) "tall head reads 4 features" 4
+    (Network.input_dim tall_head.Characterizer.head);
+  check_same_characterizer "tall head is its own"
+    (Workflow.train_characterizer (Workflow.prepare tall) ~property:bends_right)
+    (Workflow.train_characterizer (cached tall) ~property:bends_right)
+
+(* A torn or unfitting entry is a miss: it is retrained and overwritten
+   with the same bytes, mode 0644, and no temporary file stays. *)
+let test_characterizer_cache_torn_entry () =
+  let dir = fresh_cache_dir () in
+  let prepared = Workflow.prepare_cached ~cache_dir:dir tiny_setup in
+  let train () =
+    Workflow.train_characterizer prepared
+      ~property:Dpv_scenario.Oracle.bends_right
+  in
+  let expected = train () in
+  let net, meta =
+    match characterizer_entries dir with
+    | [ meta; net ] -> (Filename.concat dir net, Filename.concat dir meta)
+    | files -> Alcotest.failf "expected one entry, found %d files" (List.length files)
+  in
+  let whole_net = read_whole net and whole_meta = read_whole meta in
+  let wrong_head ~input_dim ~output_dim =
+    Dpv_nn.Serialize.to_string
+      (Init.mlp (Rng.create 5) ~input_dim ~hidden:[ 16 ] ~output_dim)
+  in
+  List.iter
+    (fun (name, path, contents) ->
+      overwrite path contents;
+      check_same_characterizer name expected (train ());
+      Alcotest.(check string) (name ^ ": .net rewritten") whole_net (read_whole net);
+      Alcotest.(check string) (name ^ ": .meta rewritten") whole_meta
+        (read_whole meta);
+      List.iter
+        (fun path ->
+          Alcotest.(check int) (name ^ ": entry mode") 0o644
+            (Unix.stat path).Unix.st_perm)
+        [ net; meta ])
+    [
+      ("truncated .net", net, String.sub whole_net 0 (String.length whole_net / 2));
+      ("empty .meta", meta, "");
+      ("wrong input width", net, wrong_head ~input_dim:5 ~output_dim:1);
+      ("two outputs", net, wrong_head ~input_dim:4 ~output_dim:2);
+    ];
+  Alcotest.(check int) "no temporary files left" 4
+    (Array.length (Sys.readdir dir))
+
+(* Without a cache directory, training writes nothing, not even under
+   the working directory. *)
+let test_prepare_writes_nothing () =
+  let prepared = Workflow.prepare tiny_setup in
+  Alcotest.(check bool) "no cache" true (prepared.Workflow.cache = None);
+  let dir = fresh_cache_dir () in
+  Sys.mkdir dir 0o755;
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect
+    ~finally:(fun () -> Sys.chdir cwd)
+    (fun () ->
+      ignore
+        (Workflow.run_case prepared ~property:Dpv_scenario.Oracle.bends_right
+           ~psi:(Workflow.psi_steer_far_left ~threshold:30.0 ())
+           ~strategy:Workflow.Data_box));
+  Alcotest.(check (array string)) "nothing written" [||] (Sys.readdir dir)
+
+(* A cache directory that cannot be created costs only the training:
+   the pipeline and its head come back as uncached ones do. *)
+let test_unwritable_cache () =
+  let dir = Filename.concat (Filename.temp_file "dpvcache" "") "cache" in
+  let bends_right = Dpv_scenario.Oracle.bends_right in
+  let uncached = Workflow.prepare tiny_setup in
+  let prepared = Workflow.prepare_cached ~cache_dir:dir tiny_setup in
+  check_same_pipeline "unwritable cache" uncached prepared;
+  check_same_characterizer "unwritable cache"
+    (Workflow.train_characterizer uncached ~property:bends_right)
+    (Workflow.train_characterizer prepared ~property:bends_right)
+
 let test_psi_builders () =
   let far_left = Workflow.psi_steer_far_left ~threshold:2.0 () in
   Alcotest.(check bool) "far left holds" true (Risk.holds far_left [| 2.5; 0.0 |]);
@@ -641,5 +873,11 @@ let tests =
     Alcotest.test_case "workflow cache roundtrip" `Slow test_workflow_prepare_cached_roundtrip;
     Alcotest.test_case "workflow cache torn entry" `Slow test_prepare_cached_torn_entry;
     Alcotest.test_case "workflow cache camera height" `Slow test_prepare_cached_camera_height;
+    Alcotest.test_case "characterizer cache hit" `Slow test_characterizer_cache_hit;
+    Alcotest.test_case "characterizer cache keys" `Slow test_characterizer_cache_keys;
+    Alcotest.test_case "characterizer cache torn entry" `Slow
+      test_characterizer_cache_torn_entry;
+    Alcotest.test_case "prepare writes nothing" `Slow test_prepare_writes_nothing;
+    Alcotest.test_case "unwritable cache" `Slow test_unwritable_cache;
     Alcotest.test_case "psi builders" `Quick test_psi_builders;
   ]

@@ -349,21 +349,8 @@ let test_bn_training_updates_stats () =
    order of a float operation in forward, backward, accumulation, the
    batch-norm statistics, the optimizer or the shuffle shows here. *)
 
-let bits_digest floats =
-  let b = Buffer.create 4096 in
-  List.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) floats;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let layer_floats = function
-  | Layer.Dense { weights; bias } | Layer.Conv2d { weights; bias; _ } ->
-      List.concat_map Array.to_list (Array.to_list (Mat.to_rows weights))
-      @ Array.to_list bias
-  | Layer.Batch_norm { gamma; beta; mean; var; eps } ->
-      List.concat_map Array.to_list [ gamma; beta; mean; var; [| eps |] ]
-  | Layer.Relu | Layer.Sigmoid | Layer.Tanh -> []
-
-let net_digest net =
-  bits_digest (List.concat_map layer_floats (Network.layers net))
+let bits_digest = Test_core.bits_digest
+let net_digest = Test_core.net_digest
 
 let grad_floats (g : Grad.t) =
   List.concat_map
