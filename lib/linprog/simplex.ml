@@ -731,6 +731,25 @@ let maybe_refactor h =
 let max_iters h = 200 * (h.m + h.ncols + 100)
 let bland_threshold h = h.m + h.ncols + 20
 
+(* Stall detection of the dual simplex.  Its total bound violation is
+   not monotone, so progress is a new minimum of that total, not a drop
+   below the previous iteration's: a cycle whose violation dips once
+   per lap (3, 2, 3, 2, ...) reaches no new minimum after its first
+   lap, so its streak runs on into Bland's rule. *)
+module Stall = struct
+  type t = { mutable best : float; mutable streak : int }
+
+  let create () = { best = infinity; streak = 0 }
+
+  let step s ~threshold total =
+    if total < s.best -. 1e-12 then begin
+      s.best <- total;
+      s.streak <- 0
+    end
+    else s.streak <- s.streak + 1;
+    s.streak > threshold
+end
+
 (* ---- Primal bounded-variable simplex.  Requires a primal-feasible
    basis and current reduced costs; minimizes.  Returns [`Optimal] or
    [`Unbounded]. ---- *)
@@ -856,8 +875,7 @@ let primal_simplex h =
 let dual_simplex ~zero h =
   let tol = h.tol in
   let bland = ref false in
-  let stall_streak = ref 0 in
-  let prev_viol = ref infinity in
+  let stall = Stall.create () in
   let rec loop iter =
     if iter > max_iters h then
       raise (Numerical_trouble "dual iteration limit");
@@ -896,12 +914,8 @@ let dual_simplex ~zero h =
     done;
     if !r < 0 then `Feasible
     else begin
-      if !total_v >= !prev_viol -. 1e-12 then begin
-        incr stall_streak;
-        if !stall_streak > bland_threshold h then bland := true
-      end
-      else stall_streak := 0;
-      prev_viol := !total_v;
+      if Stall.step stall ~threshold:(bland_threshold h) !total_v then
+        bland := true;
       let r = !r in
       let below = !below in
       let k = h.basis.(r) in

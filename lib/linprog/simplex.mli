@@ -22,7 +22,10 @@
     variable space.
 
     Termination: Dantzig pricing with an automatic switch to Bland's
-    rule after a streak of degenerate pivots, which rules out cycling. *)
+    smallest-index rule, which rules out cycling in both phases.  The
+    primal phase switches after a streak of degenerate pivots, the dual
+    phase after a streak of iterations whose total bound violation
+    reaches no new minimum (see {!Stall}). *)
 
 type status =
   | Optimal of { objective : float; solution : float array }
@@ -93,3 +96,16 @@ val release : handle -> unit
     unreleased handle is simply garbage-collected. *)
 
 val pp_status : Format.formatter -> status -> unit
+
+(** Stall detection of the dual simplex, exposed for tests. *)
+module Stall : sig
+  type t
+
+  val create : unit -> t
+
+  val step : t -> threshold:int -> float -> bool
+  (** [step s ~threshold total] records one iteration's total bound
+      violation and returns [true] once more than [threshold]
+      iterations in a row have failed to reach a new minimum of it:
+      the dual simplex then switches to Bland's rule. *)
+end

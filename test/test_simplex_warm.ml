@@ -44,6 +44,29 @@ let test_beale_no_cycling () =
   let obj_dense, _ = expect_optimal (Simplex.solve_dense m) in
   check_float "dense reference optimum" (-0.05) obj_dense
 
+(* The dual simplex's stall rule on a violation that dips once per lap
+   of a cycle (3, 2, 3, 2, ...): measured against the previous
+   iteration, every dip reset the streak and Bland's rule never came;
+   measured against the best total so far, the streak runs from the
+   first repeat on and must switch within [threshold] more steps. *)
+let test_dual_stall_periodic () =
+  let threshold = 25 in
+  let s = Simplex.Stall.create () in
+  let rec first_switch step =
+    if step > 10 * threshold then None
+    else
+      let total = if step mod 2 = 0 then 3.0 else 2.0 in
+      if Simplex.Stall.step s ~threshold total then Some step
+      else first_switch (step + 1)
+  in
+  match first_switch 0 with
+  | Some step ->
+      Alcotest.(check bool)
+        (Printf.sprintf "switched at step %d, within threshold" step)
+        true
+        (step <= threshold + 2)
+  | None -> Alcotest.fail "a periodic violation never reached Bland's rule"
+
 (* ---- Differential suite: the new engine against the retained dense
    reference on randomized LPs covering every bound shape (two-sided,
    one-sided, free) and every relation. ---- *)
@@ -215,6 +238,8 @@ let test_milp_counters_surface () =
 let tests =
   [
     Alcotest.test_case "beale cycling regression" `Quick test_beale_no_cycling;
+    Alcotest.test_case "dual stall: periodic violation reaches Bland" `Quick
+      test_dual_stall_periodic;
     Alcotest.test_case "differential vs dense (240 LPs)" `Quick
       test_differential_vs_dense;
     Alcotest.test_case "warm bound flips" `Quick test_warm_bound_flips;
