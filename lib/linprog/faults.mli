@@ -26,8 +26,10 @@ type site =
   | Lp_trouble          (** raise [Simplex.Numerical_trouble] at [resolve]
                             entry, {e outside} its internal fallback — the
                             exception escapes to the query level *)
-  | Pivot_corrupt       (** silently scribble on the basis inverse after a
-                            pivot; caught by the post-solve residual check *)
+  | Pivot_corrupt       (** silently scribble on a U diagonal of the basis
+                            factors and the matching basic value after a
+                            pivot; caught by the next refactorization's
+                            check or the post-solve residual check *)
   | Refactor_singular   (** refactorization reports a singular basis *)
   | Deadline_jitter     (** one [Clock.expired] check on a finite deadline
                             returns true early *)
@@ -79,8 +81,8 @@ val configure : ?seed:int -> (site * int) list -> unit
 (** [configure ~seed plan] arms the harness: each [(site, n)] pair makes
     that site fire on its [n]th occurrence ([n >= 1]), once.  Counters
     reset.  [seed] (default 0) perturbs {e how} a corrupting site
-    misbehaves (which basis-inverse entry [Pivot_corrupt] scribbles and
-    by how much), not {e when} it fires. *)
+    misbehaves (which factor entry [Pivot_corrupt] scribbles and by how
+    much), not {e when} it fires. *)
 
 val disable : unit -> unit
 (** Disarm every site and zero the counters. *)

@@ -3,9 +3,12 @@
     The primary engine is a revised simplex over sparse columns with
     native [lo, up] variable bounds: rows become equalities with one
     bounded slack each (no standard-form variable splitting, no Phase-1
-    artificials), and the ratio test handles bound flips directly.  A
-    persistent {!handle} keeps the factorized basis alive between
-    solves, so re-solving after a bound change runs dual simplex from
+    artificials), and the ratio test handles bound flips directly.  The
+    basis is held as a sparse LU factorization (Markowitz pivoting with
+    a threshold test, singletons first), updated in place by
+    Forrest-Tomlin updates and refactorized when the updates have grown
+    it or fail a stability check.  A persistent {!handle} keeps the
+    factorized basis alive between solves, so re-solving after a bound change runs dual simplex from
     the previous optimal basis (typically a handful of pivots) and
     re-solving after an objective change runs primal simplex from the
     still-primal-feasible basis.  Branch-and-bound and OBBT are exactly
@@ -15,7 +18,7 @@
     {!solve_dense}: it is the differential-testing oracle and the
     automatic fallback when the revised engine detects numerical
     trouble (singular refactorization, vanishing pivots, iteration
-    blow-up).
+    blow-up, basic values that drifted from their refactorized basis).
 
     Accepts any {!Lp.t}; integrality kinds are ignored (the LP
     relaxation is solved).  Solutions are reported in the original
@@ -34,8 +37,8 @@ type status =
 
 exception Numerical_trouble of string
 (** Numerical distress in the revised engine: singular refactorization,
-    vanishing pivots, iteration blow-up, or a failed post-solve residual
-    check.  Most occurrences are rescued internally (the handle resets
+    vanishing pivots, iteration blow-up, basic values that disagree with
+    a refactorized basis, or a failed post-solve residual check.  Most occurrences are rescued internally (the handle resets
     its basis and re-solves with {!solve_dense}); one that still escapes
     {!resolve} means the handle state is beyond local repair and the
     caller should re-solve statelessly — see
@@ -89,9 +92,9 @@ val counters : handle -> counters
     {!release}. *)
 
 val release : handle -> unit
-(** Hand the handle's basis-inverse storage (m x m floats) to the
-    calling domain, for the next {!create} there to reuse instead of
-    allocating.  The handle must not be solved again: a later
+(** Hand the handle's factor storage (the LU factors, the update file
+    and the factorization workspace) to the calling domain, for the next
+    {!create} there to reuse instead of allocating.  The handle must not be solved again: a later
     {!resolve} raises [Invalid_argument].  Releasing is optional; an
     unreleased handle is simply garbage-collected. *)
 

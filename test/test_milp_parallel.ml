@@ -361,7 +361,7 @@ let test_golden_one_worker_search () =
         [ Milp.Most_fractional; Milp.Bound_width; Milp.Guide_order ]
   in
   Alcotest.(check string)
-    "one-worker search digest" "722aa7ba6a6004585bc6041bcf4b0469"
+    "one-worker search digest" "86a8256e08be94f0d96463568489dc11"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 (* A bisected query folds its sub-box solves with [add_stats]: the

@@ -250,11 +250,11 @@ let tests =
   ]
 
 (* ---- Golden bit-identity: pivot choices, work counts and every
-   computed bound are pinned to the values the engine produced before
-   its kernels were restricted to nonzero work.  Both cases run well
-   past [refactor_every] = 64 pivots on one handle, so they cross
-   product-form updates, refactorizations and (for the sweep) the
-   nonzero-cost reduced-cost path. ---- *)
+   computed bound are pinned to the values of the sparse LU engine.
+   Both cases run long enough on one handle to cross Forrest-Tomlin
+   updates and refactorizations, and the sweep also the nonzero-cost
+   reduced-cost path.  A change of float rounding in the engine moves
+   them; re-record them only with the change that moves them. ---- *)
 
 module Encode = Dpv_core.Encode
 module Tighten = Dpv_core.Tighten
@@ -283,7 +283,7 @@ let test_golden_feasibility_milp () =
   Alcotest.(check bool) "verdict: infeasible" true (result = Milp.Infeasible);
   Alcotest.(check (list int))
     "nodes, LPs, pivots, warm starts, cold starts"
-    [ 1417; 1417; 16108; 1416; 1 ]
+    [ 1113; 1113; 11968; 1112; 1 ]
     [
       st.Milp.nodes_explored;
       st.Milp.lp_solved;
@@ -294,7 +294,7 @@ let test_golden_feasibility_milp () =
 
 let test_golden_tighten_sweep () =
   (* OBBT: 12 LPs on one handle, each objective a single feature
-     coordinate, so the row-wise c_B B^-1 path does the pricing. *)
+     coordinate, so reduced costs are priced through a BTRAN of c_B. *)
   let suffix, head, feature_box = golden_nets 1304 in
   let box, st =
     Tighten.feature_box ~suffix ~head ~feature_box ~characterizer_margin:1.0 ()
@@ -303,12 +303,12 @@ let test_golden_tighten_sweep () =
   Alcotest.(check (list (pair int64 int64)))
     "bits of every bound"
     [
-      (0xbfd616cd0fb6a0caL, 0x3ff0000000000000L);
-      (0xbfe697cd8f2a9978L, 0x3ff0000000000000L);
+      (0xbfd616cd0fb6a086L, 0x3ff0000000000000L);
+      (0xbfe697cd8f2a997fL, 0x3ff0000000000000L);
       (0xbff0000000000000L, 0x3ff0000000000000L);
-      (0x3fce24ebdbb33708L, 0x3ff0000000000000L);
-      (0xbff0000000000000L, 0x3fe81c02859739e0L);
-      (0xbff0000000000000L, 0xbfc844114cc58074L);
+      (0x3fce24ebdbb336e8L, 0x3ff0000000000000L);
+      (0xbff0000000000000L, 0x3fe81c0285973a07L);
+      (0xbff0000000000000L, 0xbfc844114cc5807aL);
     ]
     (Array.to_list
        (Array.map
@@ -326,14 +326,12 @@ let tests =
         test_golden_tighten_sweep;
     ]
 
-(* ---- Per-domain storage: the refactorization scratch is one grow-only
-   arena per domain, taken out for the length of each refactorization,
-   and a released handle's B^-1 storage is taken by the next handle
-   created on its domain.  Handles of different sizes re-solved in
-   round-robin make each refactorization reuse an arena last sized by
-   another handle, and each job releases its handles for the next;
-   running such jobs on two pool domains and on two systhreads of one
-   domain must not let two solves share either. ---- *)
+(* ---- Per-domain storage: a released handle's factor storage is taken
+   by the next handle created on its domain.  Handles of different
+   sizes re-solved in round-robin each hold their own while alive, and
+   each job releases its handles for the next; running such jobs on two
+   pool domains and on two systhreads of one domain must not let two
+   solves share storage. ---- *)
 
 module Pool = Dpv_linprog.Pool
 module Faults = Dpv_linprog.Faults
@@ -517,4 +515,125 @@ let tests =
         test_arena_interleaving;
       Alcotest.test_case "arena: refactor-singular and pivot-corrupt" `Quick
         test_arena_under_faults;
+    ]
+
+(* ---- Differential suite on verification encodings: big-M MILPs of a
+   perception suffix and a characterizer head, with random subsets of
+   their ReLU phase binaries fixed.  One persistent handle re-solves
+   them warm through bound changes (and, every third LP, a new
+   objective over an output), against stateless dense solves.  A SAFE
+   verdict rests on [Infeasible], which the residual check never sees,
+   so statuses must agree exactly; optima agree to 1e-6. ---- *)
+
+let test_differential_encodings () =
+  let rng = Rng.create 20261017 in
+  let optimal = ref 0 and infeasible = ref 0 in
+  List.iter
+    (fun seed ->
+      let suffix, head, feature_box = golden_nets seed in
+      let psi = Risk.make ~name:"diff" [ Risk.output_ge 0 0.5 ] in
+      let e = Encode.build ~suffix ~head ~feature_box ~psi () in
+      let out = e.Encode.output_vars.(0) in
+      let binaries = Lp.integer_vars e.Encode.model in
+      let h = Simplex.create e.Encode.model in
+      let current = ref e.Encode.model in
+      for case = 1 to 120 do
+        let changes =
+          List.map
+            (fun v ->
+              match Rng.int rng 3 with
+              | 0 -> (v, Some 0.0, Some 0.0)
+              | 1 -> (v, Some 1.0, Some 1.0)
+              | _ -> (v, Some 0.0, Some 1.0))
+            binaries
+        in
+        List.iter
+          (fun (v, lo, up) -> current := Lp.set_var_bounds !current v ~lo ~up)
+          changes;
+        if case mod 3 = 0 then begin
+          let sense = if case mod 2 = 0 then Lp.Maximize else Lp.Minimize in
+          Simplex.set_objective h sense [ (1.0, out) ];
+          current := Lp.set_objective !current sense [ (1.0, out) ]
+        end;
+        let warm = Simplex.resolve ~bound_changes:changes h in
+        let dense = Simplex.solve_dense !current in
+        let ctx = Printf.sprintf "seed %d, LP %d" seed case in
+        Alcotest.(check string)
+          (ctx ^ ": status") (status_word dense) (status_word warm);
+        match (warm, dense) with
+        | Simplex.Optimal { objective = a; _ }, Simplex.Optimal { objective = b; _ }
+          ->
+            incr optimal;
+            Alcotest.(check (float 1e-6)) (ctx ^ ": objective") b a
+        | Simplex.Infeasible, _ -> incr infeasible
+        | _ -> ()
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: one cold start" seed)
+        1 (Simplex.counters h).Simplex.cold_starts;
+      Simplex.release h)
+    [ 1304; 1305 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes covered (%d optimal, %d infeasible)"
+       !optimal !infeasible)
+    true
+    (!optimal >= 40 && !infeasible >= 40)
+
+(* ---- Factor storage comes from the domain: once a domain has solved
+   an LP of a size, a create / resolve / release cycle of that size
+   allocates no factor, update-file or workspace buffer.  The count is
+   of words allocated directly in the major heap (major words less
+   promoted ones, settled by a full major collection before and after
+   the cycle), which is where every array beyond the minor heap's size
+   limit goes: the U and eta pools and the row pattern of B are, and so
+   are the nucleus buffers of this encoding's larger nuclei.  Promoted
+   words are left out, since a cycle that outlasts a small minor heap
+   promotes the live handle whatever its storage. ---- *)
+
+let test_factor_storage_allocation () =
+  let suffix, head, feature_box = golden_nets 1305 in
+  let psi = Risk.make ~name:"golden" [ Risk.output_ge 0 2.0 ] in
+  let e = Encode.build ~suffix ~head ~feature_box ~psi () in
+  let model = e.Encode.model in
+  Alcotest.(check int) "rows" 101 (Lp.num_constraints model);
+  let fixes =
+    List.mapi
+      (fun i v ->
+        let x = if i mod 2 = 0 then 0.0 else 1.0 in
+        (v, Some x, Some x))
+      (Lp.integer_vars model)
+  in
+  let cycle () =
+    let h = Simplex.create model in
+    ignore (Simplex.resolve h);
+    List.iter
+      (fun change -> ignore (Simplex.resolve ~bound_changes:[ change ] h))
+      fixes;
+    Simplex.release h;
+    (Simplex.counters h).Simplex.pivots
+  in
+  let direct () =
+    let st = Gc.quick_stat () in
+    st.Gc.major_words -. st.Gc.promoted_words
+  in
+  ignore (cycle ());
+  Gc.full_major ();
+  let major = direct () in
+  let pivots = cycle () in
+  Gc.full_major ();
+  let words = direct () -. major in
+  Alcotest.(check bool)
+    (Printf.sprintf "the cycle crossed refactorizations (%d pivots)" pivots)
+    true (pivots > 100);
+  if words > 32.0 then
+    Alcotest.failf "a warm cycle allocated %.0f major words (at most 32)"
+      words
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "differential vs dense on encodings (240 LPs)" `Quick
+        test_differential_encodings;
+      Alcotest.test_case "factor storage allocation" `Quick
+        test_factor_storage_allocation;
     ]
