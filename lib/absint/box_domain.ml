@@ -6,8 +6,6 @@ module Rng = Dpv_tensor.Rng
 
 type t = Interval.t array
 
-let of_bounds pairs = Array.map Interval.of_pair pairs
-
 let uniform ~dim ~lo ~hi = Array.init dim (fun _ -> Interval.make ~lo ~hi)
 
 let of_points points =
@@ -53,11 +51,6 @@ let rec transfer_layer layer box =
             box
       | None -> assert false)
 
-let propagate net box =
-  if Array.length box <> Network.input_dim net then
-    invalid_arg "Box_domain.propagate: wrong input dimension";
-  List.fold_left (fun acc l -> transfer_layer l acc) box (Network.layers net)
-
 let propagate_all net box =
   if Array.length box <> Network.input_dim net then
     invalid_arg "Box_domain.propagate_all: wrong input dimension";
@@ -67,10 +60,3 @@ let propagate_all net box =
     out.(l) <- transfer_layer (Network.layer net l) out.(l - 1)
   done;
   out
-
-let pp fmt box =
-  Format.fprintf fmt "@[<h>{%a}@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-       Interval.pp)
-    (Array.to_list box)

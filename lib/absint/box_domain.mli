@@ -2,13 +2,11 @@
 
 type t = Interval.t array
 
-val of_bounds : (float * float) array -> t
 val uniform : dim:int -> lo:float -> hi:float -> t
 val of_points : Dpv_tensor.Vec.t array -> t
 (** Tightest box containing the given non-empty point set. *)
 
 val contains : t -> Dpv_tensor.Vec.t -> bool
-val widths : t -> float array
 val mean_width : t -> float
 val sample : Dpv_tensor.Rng.t -> t -> Dpv_tensor.Vec.t
 (** Uniform sample; all sides must be finite. *)
@@ -16,11 +14,6 @@ val sample : Dpv_tensor.Rng.t -> t -> Dpv_tensor.Vec.t
 val transfer_layer : Dpv_nn.Layer.t -> t -> t
 (** Sound image of the box under one layer. *)
 
-val propagate : Dpv_nn.Network.t -> t -> t
-(** Sound image under the whole network. *)
-
 val propagate_all : Dpv_nn.Network.t -> t -> t array
 (** Boxes at every layer: index [l] over-approximates [f^(l)];
     index 0 is the input box.  Length is [num_layers + 1]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -268,11 +268,6 @@ let rec transfer_layer layer t =
       | Some (scale, shift) -> transfer_diag t layer scale shift
       | None -> assert false)
 
-let propagate net t =
-  if dim t <> Network.input_dim net then
-    invalid_arg "Deeppoly.propagate: wrong input dimension";
-  List.fold_left (fun acc l -> transfer_layer l acc) t (Network.layers net)
-
 let propagate_all net t =
   if dim t <> Network.input_dim net then
     invalid_arg "Deeppoly.propagate_all: wrong input dimension";

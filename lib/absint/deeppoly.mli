@@ -18,12 +18,10 @@ type t
 val of_box : Box_domain.t -> t
 (** Sides must be finite. *)
 
-val dim : t -> int
 val to_box : t -> Box_domain.t
 (** Concretized per-neuron interval bounds. *)
 
 val transfer_layer : Dpv_nn.Layer.t -> t -> t
-val propagate : Dpv_nn.Network.t -> t -> t
 val propagate_all : Dpv_nn.Network.t -> t -> Box_domain.t array
 (** Interval enclosures at every layer (index 0 = the input box). *)
 
@@ -53,7 +51,7 @@ val transfer_relu_fixed : phase array -> t -> t option
     operation — same accumulation order, same guards, same nan
     fallbacks — so a resumed propagation is bit-identical to a
     from-scratch one ([propagate] with all-[Unknown] phases matches
-    {!propagate}; with fixings it matches folding
+    folding {!transfer_layer}; with fixings it matches folding
     {!transfer_relu_fixed}).  Steady-state propagation allocates
     nothing. *)
 module Resumable : sig

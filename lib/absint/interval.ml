@@ -52,5 +52,3 @@ let dot coeffs xs =
 
 let approx_equal ?(tol = 1e-9) a b =
   Float.abs (a.lo -. b.lo) <= tol && Float.abs (a.hi -. b.hi) <= tol
-
-let pp fmt i = Format.fprintf fmt "[%g, %g]" i.lo i.hi

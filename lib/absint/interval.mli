@@ -37,4 +37,3 @@ val dot : float array -> t array -> t
 (** Interval dot product [sum_i c_i * x_i]. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

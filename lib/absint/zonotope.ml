@@ -7,7 +7,6 @@ module Vec = Dpv_tensor.Vec
 type t = { center : Vec.t; generators : Vec.t array }
 
 let dim z = Vec.dim z.center
-let num_generators z = Array.length z.generators
 
 let of_box box =
   let d = Array.length box in
@@ -104,11 +103,6 @@ let rec transfer_layer layer z =
       match Layer.batch_norm_scale_shift layer with
       | Some (scale, shift) -> affine_diag scale shift z
       | None -> assert false)
-
-let propagate net z =
-  if dim z <> Network.input_dim net then
-    invalid_arg "Zonotope.propagate: wrong input dimension";
-  List.fold_left (fun acc l -> transfer_layer l acc) z (Network.layers net)
 
 let propagate_all net z =
   if dim z <> Network.input_dim net then

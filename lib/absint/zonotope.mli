@@ -14,15 +14,10 @@ type t
 val of_box : Box_domain.t -> t
 (** One independent generator per dimension (sides must be finite). *)
 
-val dim : t -> int
-val num_generators : t -> int
 val to_box : t -> Box_domain.t
 (** Tightest per-dimension interval enclosure. *)
 
-val concretize_bounds : t -> dim:int -> Interval.t
-
 val transfer_layer : Dpv_nn.Layer.t -> t -> t
-val propagate : Dpv_nn.Network.t -> t -> t
 val propagate_all : Dpv_nn.Network.t -> t -> Box_domain.t array
 (** Interval enclosures at every layer (index 0 = input), computed with
     zonotope precision internally. *)

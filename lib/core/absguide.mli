@@ -65,8 +65,8 @@ val root_propagation :
   feature_box:Dpv_absint.Box_domain.t ->
   seed
 (** Propagate both networks over [feature_box] with no fixings (all
-    ReLU phases [Unknown]).  Bit-identical to the immutable
-    {!Dpv_absint.Deeppoly.propagate}. *)
+    ReLU phases [Unknown]).  Bit-identical to folding the immutable
+    {!Dpv_absint.Deeppoly.transfer_layer} over each network. *)
 
 val seed_output_box : seed -> Dpv_absint.Box_domain.t
 (** The suffix network's propagated output box. *)

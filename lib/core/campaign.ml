@@ -86,7 +86,6 @@ type cache = {
 }
 
 let create_cache () = { c_tbl = Hashtbl.create 16; c_lock = Mutex.create () }
-let cache_size c = Mutex.protect c.c_lock (fun () -> Hashtbl.length c.c_tbl)
 
 type report = {
   query_reports : query_report list;

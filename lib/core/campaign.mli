@@ -111,9 +111,6 @@ type cache
 
 val create_cache : unit -> cache
 
-val cache_size : cache -> int
-(** Number of distinct [(cut, bounds)] entries currently resident. *)
-
 type report = {
   query_reports : query_report list;  (** in input query order *)
   cache : cache_stats;

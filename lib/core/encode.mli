@@ -26,21 +26,6 @@ type t = {
           tie LP binaries back to head neurons *)
 }
 
-val encode_network :
-  Dpv_linprog.Lp.t ->
-  net:Dpv_nn.Network.t ->
-  input_vars:Dpv_linprog.Lp.var array ->
-  input_box:Dpv_absint.Box_domain.t ->
-  name:string ->
-  Dpv_linprog.Lp.t
-  * Dpv_linprog.Lp.var array
-  * (int * Dpv_linprog.Lp.var option array) list
-  * int
-  * int
-(** Lower-level piece: encode one network on existing input variables.
-    Returns (model, output vars, per-ReLU-layer binary map, binaries
-    added, fixed relus). *)
-
 type shared
 (** The query-independent prefix of an encoding: the feature-layer
     variables, the octagon faces, and the big-M encoding of the

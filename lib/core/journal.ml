@@ -290,7 +290,6 @@ let append_meta w m =
           w.pending_rewrite <- true;
           raise ex)
 
-let entries w = Mutex.protect w.lock (fun () -> List.rev w.entries_rev)
 let close w = Mutex.protect w.lock (fun () -> close_channel w)
 
 (* One-shot atomic write of a complete journal (tmp + rename) — how

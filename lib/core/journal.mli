@@ -80,9 +80,6 @@ val append_meta : writer -> meta -> unit
     a recovery rewrite reproduces it after the entries.  Meant to be
     called once, at the end of a sharded campaign. *)
 
-val entries : writer -> entry list
-(** All entries recorded so far, in append order. *)
-
 val close : writer -> unit
 (** Close the fast-path append channel, if open.  Further appends
     reopen it through the rewrite path; calling close is optional but

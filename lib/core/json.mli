@@ -15,17 +15,13 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val default_max_depth : int
-(** Default container-nesting budget (256) — generous for every
-    document this project writes, tiny against the stack. *)
-
 val of_string : ?max_depth:int -> ?max_bytes:int -> string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a byte offset and a
     description.
 
     Both limits exist for adversarial input (the serve protocol hands
     this parser raw network frames): [max_depth] (default
-    {!default_max_depth}) bounds container nesting so a deeply nested
+    256) bounds container nesting so a deeply nested
     array yields an [Error] instead of a stack overflow, and
     [max_bytes] (default unlimited) rejects oversized documents in O(1)
     before any parsing allocation. *)

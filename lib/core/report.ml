@@ -99,8 +99,6 @@ let pp_case fmt (case : Workflow.case_report) =
     case.characterizer_val_accuracy Statistical.pp case.table
     case.omitted_unsafe pp_milp_stats case.result.Verify.milp_stats
 
-let case_to_string case = Format.asprintf "%a" pp_case case
-
 let pp_campaign fmt (report : Campaign.report) =
   Format.fprintf fmt "@[<v>campaign: %d queries, %d runner%s%s%s%s@,"
     (List.length report.Campaign.query_reports)

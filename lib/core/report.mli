@@ -1,7 +1,6 @@
 (** Human-readable reporting for workflow results. *)
 
 val pp_case : Format.formatter -> Workflow.case_report -> unit
-val case_to_string : Workflow.case_report -> string
 
 val pp_verdict_line : Format.formatter -> Workflow.case_report -> unit
 (** One-line summary: property, psi, strategy, verdict, time. *)

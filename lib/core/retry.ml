@@ -11,7 +11,6 @@ type telemetry = {
 }
 
 let clean = { attempts = 1; dense_retry = false; deadline_retry = false }
-let retried t = t.attempts > 1
 let m_dense = Metrics.counter "retry.dense"
 let m_deadline = Metrics.counter "retry.deadline"
 

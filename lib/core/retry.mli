@@ -30,14 +30,6 @@ type telemetry = {
                              deadline *)
 }
 
-val clean : telemetry
-(** [{ attempts = 1; dense_retry = false; deadline_retry = false }] —
-    the telemetry of a first-attempt success (and of results restored
-    from a journal). *)
-
-val retried : telemetry -> bool
-(** Whether any rung fired ([attempts > 1]). *)
-
 val solve :
   options:Dpv_linprog.Milp.options ->
   deadline:Dpv_linprog.Clock.deadline ->

@@ -72,11 +72,6 @@ type site =
                             only — the accept loop, running jobs and
                             later scrapes are untouched *)
 
-val all_sites : (string * site) list
-(** Kebab-case spec names, e.g. [("task-crash", Task_crash)]. *)
-
-val site_name : site -> string
-
 val configure : ?seed:int -> (site * int) list -> unit
 (** [configure ~seed plan] arms the harness: each [(site, n)] pair makes
     that site fire on its [n]th occurrence ([n >= 1]), once.  Counters

@@ -95,12 +95,9 @@ let find_var m v =
   | Some info -> info
   | None -> invalid_arg "Lp: unknown variable"
 
-let var_name m v = (find_var m v).name
 let var_bounds m v =
   let i = find_var m v in
   (i.lo, i.up)
-
-let var_kind m v = (find_var m v).kind
 
 let integer_vars m =
   Imap.fold
@@ -187,39 +184,3 @@ let check_feasible ?(tol = 1e-6) m x =
            | Ge -> lhs >= c.rhs -. tol
            | Eq -> Float.abs (lhs -. c.rhs) <= tol)
          m.constrs
-
-let pp_rel fmt = function
-  | Le -> Format.fprintf fmt "<="
-  | Ge -> Format.fprintf fmt ">="
-  | Eq -> Format.fprintf fmt "="
-
-let pp fmt m =
-  let pp_terms fmt terms =
-    match terms with
-    | [] -> Format.fprintf fmt "0"
-    | _ ->
-        List.iteri
-          (fun i (c, v) ->
-            if i > 0 then Format.fprintf fmt " + ";
-            Format.fprintf fmt "%g*%s" c (var_name m v))
-          terms
-  in
-  let sense = match m.sense with Minimize -> "min" | Maximize -> "max" in
-  Format.fprintf fmt "@[<v>%s %a@," sense pp_terms m.obj;
-  List.iter
-    (fun (name, terms, rel, rhs) ->
-      Format.fprintf fmt "%s: %a %a %g@," name pp_terms terms pp_rel rel rhs)
-    (constraints m);
-  Imap.iter
-    (fun _ info ->
-      let l = match info.lo with None -> "-inf" | Some x -> string_of_float x in
-      let u = match info.up with None -> "+inf" | Some x -> string_of_float x in
-      let k =
-        match info.kind with
-        | Continuous -> ""
-        | Integer -> " int"
-        | Binary -> " bin"
-      in
-      Format.fprintf fmt "%s in [%s, %s]%s@," info.name l u k)
-    m.vars;
-  Format.fprintf fmt "@]"

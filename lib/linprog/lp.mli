@@ -35,9 +35,7 @@ val set_objective : t -> objective_sense -> term list -> t
 
 val num_vars : t -> int
 val num_constraints : t -> int
-val var_name : t -> var -> string
 val var_bounds : t -> var -> float option * float option
-val var_kind : t -> var -> kind
 val integer_vars : t -> var list
 (** Variables of kind [Integer] or [Binary], ascending. *)
 
@@ -72,5 +70,3 @@ val eval_term_list : term list -> float array -> float
 val check_feasible : ?tol:float -> t -> float array -> bool
 (** True when the point satisfies every constraint and bound (ignoring
     integrality) within absolute tolerance [tol] (default [1e-6]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,7 +15,6 @@ let fit ?(margin = 0.0) points =
         Interval.make ~lo:(iv.lo -. pad) ~hi:(iv.hi +. pad))
       box
 
-let of_box box = box
 let to_box box = box
 let dim = Array.length
 let contains = Box_domain.contains
@@ -39,5 +38,3 @@ let widen box x =
   if Array.length box <> Vec.dim x then
     invalid_arg "Box_monitor.widen: dimension mismatch";
   Array.mapi (fun i iv -> Interval.join iv (Interval.point x.(i))) box
-
-let pp = Box_domain.pp

@@ -13,7 +13,6 @@ val fit : ?margin:float -> Dpv_tensor.Vec.t array -> t
     [margin * max(width, 1)] (default margin 0).  The margin models the
     engineering slack one adds before deployment. *)
 
-val of_box : Dpv_absint.Box_domain.t -> t
 val to_box : t -> Dpv_absint.Box_domain.t
 val dim : t -> int
 val contains : t -> Dpv_tensor.Vec.t -> bool
@@ -24,5 +23,3 @@ val violation_margin : t -> Dpv_tensor.Vec.t -> float
 val widen : t -> Dpv_tensor.Vec.t -> t
 (** Smallest enclosing box of the box and the point (for incremental
     fitting). *)
-
-val pp : Format.formatter -> t -> unit

@@ -117,6 +117,3 @@ let bounding_box p =
   Array.init p.dim (fun i ->
       if lo.(i) > hi.(i) then Interval.point lo.(i)
       else Interval.make ~lo:lo.(i) ~hi:hi.(i))
-
-let pp fmt p =
-  Format.fprintf fmt "polyhedron(dim=%d, faces=%d)" p.dim (num_faces p)

@@ -40,5 +40,3 @@ val contains : ?tol:float -> t -> Dpv_tensor.Vec.t -> bool
 val violation_margin : t -> Dpv_tensor.Vec.t -> float
 val bounding_box : t -> Dpv_absint.Box_domain.t
 (** Per-dimension interval enclosure implied by the axis faces. *)
-
-val pp : Format.formatter -> t -> unit

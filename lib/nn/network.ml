@@ -123,12 +123,6 @@ let num_parameters net =
       | Layer.Relu | Layer.Sigmoid | Layer.Tanh -> acc)
     0 net.layer_arr
 
-let map_layers net ~f =
-  let layer_arr = Array.map f net.layer_arr in
-  let dims = compute_dims ~input_dim:net.input_dim layer_arr in
-  if dims <> net.dims then invalid_arg "Network.map_layers: shape changed";
-  { net with layer_arr }
-
 let is_piecewise_linear net =
   Array.for_all Layer.is_piecewise_linear net.layer_arr
 

@@ -61,8 +61,6 @@ val stack : t -> t -> t
     of [g]. *)
 
 val num_parameters : t -> int
-val map_layers : t -> f:(Layer.t -> Layer.t) -> t
-(** Shape-preserving layer rewrite (checked). *)
 
 val is_piecewise_linear : t -> bool
 (** All layers MILP-encodable exactly. *)

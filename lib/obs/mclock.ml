@@ -17,6 +17,3 @@ let now_ns () =
     else clamp ()
   in
   clamp ()
-
-let ns_to_us ns = float_of_int ns /. 1e3
-let ns_to_s ns = float_of_int ns /. 1e9

@@ -13,6 +13,3 @@
 
 val now_ns : unit -> int
 (** Nanoseconds since process start; never decreases. *)
-
-val ns_to_us : int -> float
-val ns_to_s : int -> float

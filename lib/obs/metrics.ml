@@ -329,17 +329,6 @@ let quantile_of_hist h ~q =
     walk 0 h.buckets
   end
 
-let reset () =
-  Mutex.protect registry_lock (fun () ->
-      List.iter (fun c -> Atomic.set c.c_cell 0) !counters;
-      List.iter (fun g -> Atomic.set g.g_cell 0) !gauges;
-      List.iter
-        (fun h ->
-          Atomic.set h.h_count 0;
-          Atomic.set h.h_sum 0;
-          Array.iter (fun b -> Atomic.set b 0) h.h_buckets)
-        !histograms)
-
 (* ---------------- dpv-metrics/1 JSON ---------------- *)
 
 let buf_obj b ~indent entries emit =

@@ -143,9 +143,6 @@ val quantile_of_hist : hist_snapshot -> q:float -> float
     of 2 of the true sample quantile.  [0.0] for an empty histogram;
     raises [Invalid_argument] outside [0 <= q <= 1]. *)
 
-val reset : unit -> unit
-(** Zero every registered metric (tests). *)
-
 val to_json : ?indent:string -> snapshot -> string
 (** The [dpv-metrics/1] JSON object.  [indent] prefixes every line
     after the first, for embedding inside a larger document.  Sampled

@@ -24,9 +24,6 @@ val input_dim : config -> int
 val row_distance : config -> int -> float
 (** Ground distance represented by pixel row [r] (row 0 = top = far). *)
 
-val pixel_lateral : config -> row:int -> col:int -> float
-(** Lateral ground position (m, ego frame) seen by the pixel. *)
-
 val render : ?rng:Dpv_tensor.Rng.t -> config -> Scene.t -> Dpv_tensor.Vec.t
 (** Deterministic apart from sensor/weather noise drawn from [rng]
     (no noise when [rng] is omitted). *)

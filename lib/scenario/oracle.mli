@@ -19,8 +19,5 @@ val traffic_adjacent : Scene.t Dpv_spec.Property.t
     paper found untrainable from close-to-output features (information
     bottleneck). *)
 
-val weather_degraded : Scene.t Dpv_spec.Property.t
-(** Rain or fog. *)
-
 val all : (string * Scene.t Dpv_spec.Property.t) list
 val find : string -> Scene.t Dpv_spec.Property.t option

@@ -31,12 +31,3 @@ let lane_center_at scene d =
   -. (d *. scene.heading_error)
 
 let lane_offset_of scene v = v.lane - scene.ego_lane
-
-let weather_name = function Clear -> "clear" | Rain -> "rain" | Fog -> "fog"
-
-let pp fmt s =
-  Format.fprintf fmt
-    "@[<h>scene(k=%g k'=%g lanes=%d ego=%d off=%.2f hdg=%.3f %s traffic=%d)@]"
-    s.road.Road.curvature s.road.Road.curvature_rate s.road.Road.num_lanes
-    s.ego_lane s.lateral_offset s.heading_error (weather_name s.weather)
-    (List.length s.traffic)

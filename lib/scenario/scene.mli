@@ -35,6 +35,3 @@ val lane_center_at : t -> float -> float
 
 val lane_offset_of : t -> vehicle -> int
 (** Vehicle lane relative to ego: negative = to the right. *)
-
-val weather_name : weather -> string
-val pp : Format.formatter -> t -> unit

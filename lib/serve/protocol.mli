@@ -63,6 +63,3 @@ val trace_reply : job:string -> trace:string -> events:string -> string
 
 val pong : jobs_running:int -> queue_depth:int -> string
 val draining : string
-
-val version : string
-(** ["dpv-serve/1"]. *)

@@ -705,8 +705,6 @@ let recovered t = t.recovered
 
 let request_drain t = Atomic.set t.draining true
 
-let draining t = Atomic.get t.draining
-
 (* Stop admitting, notify queued clients, finish the running job, join
    the executor.  Queued jobs stay journaled — restart recovery picks
    them up; their clients are told so explicitly. *)

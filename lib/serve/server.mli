@@ -93,11 +93,3 @@ val request_drain : t -> unit
 (** Flag the drain; async-signal-safe (the CLI calls it from SIGTERM
     and SIGINT handlers).  {!serve} notices within its select
     timeout. *)
-
-val draining : t -> bool
-
-val drain : t -> unit
-(** The drain itself: stop admitting, notify queued clients, stop the
-    sampler domain, finish the running job, join the executor.
-    {!serve} calls this on the way out; callers who never ran {!serve}
-    can call it directly. *)

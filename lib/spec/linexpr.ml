@@ -31,15 +31,3 @@ let normalized_terms e =
     e.terms;
   Hashtbl.fold (fun i c acc -> if c = 0.0 then acc else (c, i) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare a b)
-
-let pp fmt e =
-  let terms = normalized_terms e in
-  (match terms with
-  | [] -> Format.fprintf fmt "%g" e.const
-  | _ ->
-      List.iteri
-        (fun k (c, i) ->
-          if k > 0 then Format.fprintf fmt " + ";
-          Format.fprintf fmt "%g*y%d" c i)
-        terms;
-      if e.const <> 0.0 then Format.fprintf fmt " + %g" e.const)

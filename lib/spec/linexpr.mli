@@ -20,5 +20,3 @@ val max_output_index : t -> int
 
 val normalized_terms : t -> (float * int) list
 (** Terms merged by index, ascending, zero coefficients dropped. *)
-
-val pp : Format.formatter -> t -> unit

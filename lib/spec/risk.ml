@@ -167,13 +167,3 @@ let max_output_index psi =
   List.fold_left
     (fun acc ineq -> Stdlib.max acc (Linexpr.max_output_index ineq.expr))
     (-1) psi.inequalities
-
-let pp fmt psi =
-  Format.fprintf fmt "@[<h>%s:" psi.name;
-  List.iteri
-    (fun k ineq ->
-      if k > 0 then Format.fprintf fmt " /\\";
-      let rel = match ineq.rel with `Le -> "<=" | `Ge -> ">=" in
-      Format.fprintf fmt " %a %s %g" Linexpr.pp ineq.expr rel ineq.bound)
-    psi.inequalities;
-  Format.fprintf fmt "@]"

@@ -37,4 +37,3 @@ val holds : ?tol:float -> t -> Dpv_tensor.Vec.t -> bool
 (** Does the output satisfy every inequality (within [tol], default 0)? *)
 
 val max_output_index : t -> int
-val pp : Format.formatter -> t -> unit

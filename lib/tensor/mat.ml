@@ -28,7 +28,6 @@ let of_rows rws =
     rws;
   init ~rows ~cols (fun i j -> rws.(i).(j))
 
-let copy m = { m with data = Array.copy m.data }
 let rows m = m.rows
 let cols m = m.cols
 
@@ -41,12 +40,6 @@ let set m i j x =
   m.data.((i * m.cols) + j) <- x
 
 let row m i = Array.sub m.data (i * m.cols) m.cols
-let col m j = Array.init m.rows (fun i -> get m i j)
-
-let set_row m i v =
-  if Array.length v <> m.cols then invalid_arg "Mat.set_row: wrong length";
-  Array.blit v 0 m.data (i * m.cols) m.cols
-
 let to_rows m = Array.init m.rows (fun i -> row m i)
 
 let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
@@ -58,12 +51,6 @@ let check_same_shape a b =
 let add a b =
   check_same_shape a b;
   { a with data = Array.map2 ( +. ) a.data b.data }
-
-let sub a b =
-  check_same_shape a b;
-  { a with data = Array.map2 ( -. ) a.data b.data }
-
-let scale c m = { m with data = Array.map (fun v -> c *. v) m.data }
 
 let matvec_into m x out =
   if Array.length x <> m.cols then
@@ -148,18 +135,6 @@ let scale_in_place c m =
 let fill m x = Array.fill m.data 0 (Array.length m.data) x
 let data m = m.data
 
-let map f m = { m with data = Array.map f m.data }
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 m.data)
-
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol) a.data b.data
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "%a@," Vec.pp (row m i)
-  done;
-  Format.fprintf fmt "@]"

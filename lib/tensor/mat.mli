@@ -9,7 +9,6 @@ val init : rows:int -> cols:int -> (int -> int -> float) -> t
 val of_rows : float array array -> t
 (** Rows must be non-empty and rectangular. *)
 
-val copy : t -> t
 val rows : t -> int
 val cols : t -> int
 
@@ -17,14 +16,10 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
 val row : t -> int -> Vec.t
-val col : t -> int -> Vec.t
-val set_row : t -> int -> Vec.t -> unit
 val to_rows : t -> float array array
 
 val transpose : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val matvec : t -> Vec.t -> Vec.t
 (** [matvec m x] is [m * x]; [x] must have [cols m] entries. *)
 
@@ -65,7 +60,4 @@ val matmul : t -> t -> t
 val outer : Vec.t -> Vec.t -> t
 (** [outer x y] is the rank-1 matrix [x yᵀ]. *)
 
-val map : (float -> float) -> t -> t
-val frobenius : t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -24,8 +24,6 @@ let split t =
   let seed = next_int64 t in
   { state = mix64 seed; cached_gaussian = None }
 
-let copy t = { state = t.state; cached_gaussian = t.cached_gaussian }
-
 (* Uniform float in [0,1) from the top 53 bits. *)
 let unit_float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in

@@ -14,9 +14,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (the copy replays [t]'s future). *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound] must be > 0. *)
 

@@ -7,14 +7,7 @@ let variance xs =
   Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
   /. float_of_int (Array.length xs)
 
-let sample_variance xs =
-  if Array.length xs < 2 then invalid_arg "Stats.sample_variance: need >= 2";
-  let m = mean xs in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-  /. float_of_int (Array.length xs - 1)
-
 let std xs = sqrt (variance xs)
-let sample_std xs = sqrt (sample_variance xs)
 
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty";

@@ -1,14 +1,9 @@
 (** Summary statistics over float samples and sample matrices. *)
 
 val mean : float array -> float
-val variance : float array -> float
-(** Population variance (divides by [n]). *)
-
-val sample_variance : float array -> float
-(** Unbiased sample variance (divides by [n-1]); requires at least 2 points. *)
-
 val std : float array -> float
-val sample_std : float array -> float
+(** Population standard deviation (divides by [n]). *)
+
 val min_max : float array -> float * float
 val median : float array -> float
 val quantile : float array -> q:float -> float

@@ -6,7 +6,6 @@ let ones n = Array.make n 1.0
 let init = Array.init
 let copy = Array.copy
 let dim = Array.length
-let of_list = Array.of_list
 let to_list = Array.to_list
 
 let check_same_dim x y =
@@ -22,10 +21,6 @@ let add x y =
 let sub x y =
   check_same_dim x y;
   Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
-
-let mul x y =
-  check_same_dim x y;
-  Array.init (Array.length x) (fun i -> x.(i) *. y.(i))
 
 let scale a x = Array.map (fun v -> a *. v) x
 
@@ -53,23 +48,11 @@ let norm2 x = sqrt (dot x x)
 
 let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
 
-let dist2 x y = norm2 (sub x y)
-
-let map = Array.map
-let map2 = Array.map2
 let sum x = Array.fold_left ( +. ) 0.0 x
 
 let mean x =
   if Array.length x = 0 then invalid_arg "Vec.mean: empty vector";
   sum x /. float_of_int (Array.length x)
-
-let min x =
-  if Array.length x = 0 then invalid_arg "Vec.min: empty vector";
-  Array.fold_left Float.min x.(0) x
-
-let max x =
-  if Array.length x = 0 then invalid_arg "Vec.max: empty vector";
-  Array.fold_left Float.max x.(0) x
 
 let argmax x =
   if Array.length x = 0 then invalid_arg "Vec.argmax: empty vector";

@@ -13,13 +13,10 @@ val init : int -> (int -> float) -> t
 val copy : t -> t
 val dim : t -> int
 
-val of_list : float list -> t
 val to_list : t -> float list
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val mul : t -> t -> t
-(** Elementwise product. *)
 
 val scale : float -> t -> t
 val axpy : float -> t -> t -> unit
@@ -31,14 +28,8 @@ val add_in_place : t -> t -> unit
 val dot : t -> t -> float
 val norm2 : t -> float
 val norm_inf : t -> float
-val dist2 : t -> t -> float
 
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-val sum : t -> float
 val mean : t -> float
-val min : t -> float
-val max : t -> float
 val argmax : t -> int
 val argmin : t -> int
 

@@ -57,8 +57,6 @@ let batches d ~batch_size =
       let len = Stdlib.min batch_size (n - start) in
       Array.init len (fun k -> (d.inputs.(start + k), d.targets.(start + k))))
 
-let map_inputs d ~f = create ~inputs:(Array.map f d.inputs) ~targets:d.targets
-
 let class_balance d =
   if target_dim d <> 1 then invalid_arg "Dataset.class_balance: 1-dim targets only";
   let pos =

@@ -24,8 +24,5 @@ val shuffle : Dpv_tensor.Rng.t -> t -> t
 val batches : t -> batch_size:int -> (Dpv_tensor.Vec.t * Dpv_tensor.Vec.t) array array
 (** Consecutive mini-batches covering the whole set (last may be short). *)
 
-val subset : t -> indices:int array -> t
-val map_inputs : t -> f:(Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t) -> t
-
 val class_balance : t -> float
 (** For 1-dim 0/1 targets: fraction of positive examples. *)

@@ -30,5 +30,3 @@ let gradient loss ~output ~target =
   | Mse -> Vec.sub output target
   | Bce_with_logits ->
       Array.mapi (fun i z -> sigmoid z -. target.(i)) output
-
-let name = function Mse -> "mse" | Bce_with_logits -> "bce-with-logits"

@@ -15,5 +15,3 @@ val value : t -> output:Dpv_tensor.Vec.t -> target:Dpv_tensor.Vec.t -> float
 val gradient :
   t -> output:Dpv_tensor.Vec.t -> target:Dpv_tensor.Vec.t -> Dpv_tensor.Vec.t
 (** Gradient of the loss w.r.t. [output]. *)
-
-val name : t -> string

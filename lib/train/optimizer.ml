@@ -116,9 +116,3 @@ let step t net grads =
 
 let set_lr t lr = t.lr <- lr
 let lr t = t.lr
-
-let name t =
-  match t.algo with
-  | Sgd -> "sgd"
-  | Momentum _ -> "momentum"
-  | Adam _ -> "adam"

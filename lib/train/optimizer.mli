@@ -17,4 +17,3 @@ val step : t -> Dpv_nn.Network.t -> Grad.t -> unit
 
 val set_lr : t -> float -> unit
 val lr : t -> float
-val name : t -> string

@@ -134,14 +134,6 @@ let fit ?on_epoch ?rng config optimizer net dataset =
   done;
   { epoch_losses }
 
-let evaluate loss net dataset =
-  let total = ref 0.0 in
-  for i = 0 to Dataset.size dataset - 1 do
-    let output = Network.forward net dataset.Dataset.inputs.(i) in
-    total := !total +. Loss.value loss ~output ~target:dataset.Dataset.targets.(i)
-  done;
-  !total /. float_of_int (Dataset.size dataset)
-
 let binary_accuracy net dataset =
   if Dataset.target_dim dataset <> 1 then
     invalid_arg "Trainer.binary_accuracy: 1-dim targets required";

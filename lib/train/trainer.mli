@@ -26,9 +26,6 @@ val fit :
   Dataset.t ->
   history
 
-val evaluate : Loss.t -> Dpv_nn.Network.t -> Dataset.t -> float
-(** Mean loss per example. *)
-
 val binary_accuracy : Dpv_nn.Network.t -> Dataset.t -> float
 (** For 1-dim logit outputs and 0/1 targets: fraction classified correctly
     with the decision threshold at logit 0. *)

@@ -718,6 +718,213 @@ let test_bisection_seeds_guide_roots () =
     (verdict_word whole.Verify.verdict)
     (verdict_word bis.Verify.verdict)
 
+(* ---- golden guide rows --------------------------------------------- *)
+
+module Box_domain = Dpv_absint.Box_domain
+module Encode = Dpv_core.Encode
+
+(* Random Dense/ReLU stack: dims = [input; hidden...; output]. *)
+let golden_stack ~seed dims =
+  let rng = Rng.create seed in
+  let dense ~inp ~out =
+    Layer.dense
+      ~weights:
+        (Mat.of_rows
+           (Array.init out (fun _ ->
+                Array.init inp (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0))))
+      ~bias:(Array.init out (fun _ -> Rng.uniform rng ~lo:(-0.3) ~hi:0.3))
+  in
+  let rec build inp = function
+    | [] -> []
+    | [ out ] -> [ dense ~inp ~out ]
+    | out :: rest -> dense ~inp ~out :: Layer.Relu :: build out rest
+  in
+  match dims with
+  | inp :: rest when rest <> [] -> Network.create ~input_dim:inp (build inp rest)
+  | _ -> invalid_arg "golden_stack"
+
+(* A characterizer head whose logit is constant 1: the phi-side
+   constraint is inert, so the query is purely "can the suffix output
+   reach psi over the box". *)
+let inert_head dim =
+  Network.create ~input_dim:dim
+    [ Layer.dense ~weights:(Mat.create ~rows:1 ~cols:dim 0.0) ~bias:[| 1.0 |] ]
+
+let sampled_max suffix ~dim =
+  let rng = Rng.create 4242 in
+  let box = Box_domain.uniform ~dim ~lo:(-1.0) ~hi:1.0 in
+  let best = ref neg_infinity in
+  for _ = 1 to 2000 do
+    let y = Network.forward suffix (Box_domain.sample rng box) in
+    if y.(0) > !best then best := y.(0)
+  done;
+  !best
+
+(* One synthetic guided query: [blend] places the psi threshold between
+   the sampled concrete maximum (blend = 0) and the DeepPoly output
+   upper bound (blend = 1).  Thresholds past the DeepPoly bound are
+   root-prunable by the guide but still force the plain solver to
+   branch (its big-M LP relaxation uses the looser box bounds).
+   Returns the suffix, the inert head, the feature box and psi. *)
+let golden_query ~name ~seed ~dims ~blend =
+  let suffix = golden_stack ~seed dims in
+  let dim = List.hd dims in
+  let feature_box = Box_domain.uniform ~dim ~lo:(-1.0) ~hi:1.0 in
+  let dp_hi =
+    (Propagate.output_bounds Propagate.Deeppoly suffix ~input_box:feature_box).(0)
+      .Interval.hi
+  in
+  let sampled = sampled_max suffix ~dim in
+  let threshold = sampled +. (blend *. (dp_hi -. sampled)) in
+  let psi = Risk.make ~name [ Risk.output_ge 0 threshold ] in
+  (suffix, inert_head dim, feature_box, psi)
+
+(* The guide only discharges provably dead subtrees, so plain, guided
+   and guided-with-width-branching searches return the same verdict;
+   their node counts, the guided phase fixes and prunes are pinned.
+   Row: verdict, plain / guided / width nodes, fixes, prunes. *)
+let test_golden_guide_rows () =
+  List.iter
+    (fun (name, seed, blend, verdict, counts) ->
+      let suffix, head, feature_box, psi =
+        golden_query ~name ~seed ~dims:[ 5; 10; 8; 1 ] ~blend
+      in
+      let shared = Encode.build_shared ~suffix ~feature_box () in
+      let solve ~absint ~branch_rule =
+        let milp_options =
+          { Verify.default_milp_options with Milp.workers = 1; branch_rule }
+        in
+        Verify.run_query ~milp_options ~absint ~characterizer_margin:0.0 ~shared
+          ~head ~psi ~conditional:false ()
+      in
+      let plain = solve ~absint:false ~branch_rule:Milp.Most_fractional in
+      let guided = solve ~absint:true ~branch_rule:Milp.Most_fractional in
+      let width = solve ~absint:true ~branch_rule:Milp.Bound_width in
+      let word r = verdict_word r.Verify.verdict in
+      let nodes r = r.Verify.milp_stats.Milp.nodes_explored in
+      Alcotest.(check string) (name ^ ": guided verdict") (word plain)
+        (word guided);
+      Alcotest.(check string) (name ^ ": width verdict") (word plain)
+        (word width);
+      Alcotest.(check string) (name ^ ": verdict") verdict (word plain);
+      Alcotest.(check (list int))
+        (name ^ ": plain, guided, width nodes, fixes, prunes") counts
+        [
+          nodes plain;
+          nodes guided;
+          nodes width;
+          guided.Verify.milp_stats.Milp.absint_phase_fixes;
+          guided.Verify.milp_stats.Milp.absint_prunes;
+        ])
+    [
+      (* Threshold above the reachable set but below the DeepPoly root
+         bound: both solvers search, the guided one prunes subtrees as
+         phase fixings tighten bounds. *)
+      ("ext8/relu18-hard-safe", 7, 0.2, "safe", [ 1047; 880; 210; 19; 133 ]);
+      ("ext8/relu18-mid-safe", 1, 0.2, "safe", [ 179; 112; 34; 1; 27 ]);
+      ("ext8/relu18-easy-safe", 4, 0.6, "safe", [ 31; 24; 4; 0; 3 ]);
+      (* Past the DeepPoly bound: the guide discharges the root. *)
+      ("ext8/relu18-boxgap", 1, 1.05, "safe", [ 1; 0; 0; 0; 1 ]);
+      (* A reachable threshold: every search finds a witness. *)
+      ("ext8/relu18-unsafe", 5, -0.2, "unsafe", [ 25; 44; 603; 3; 1 ]);
+    ]
+
+(* One guide-order search of a golden query with the guide in scratch
+   or incremental mode; returns the result, the stats and the number of
+   guide consults. *)
+let consult_counted_solve ~scratch ~suffix ~head ~feature_box ~psi =
+  let shared = Encode.build_shared ~suffix ~feature_box () in
+  let encoding =
+    Encode.complete shared ~head ~characterizer_margin:0.0 ~psi ()
+  in
+  let factory =
+    Absguide.factory ~suffix ~head ~feature_box
+      ~suffix_relus:(Encode.suffix_relu_vars_of_shared shared)
+      ~head_relus:encoding.Encode.head_relu_vars ~psi
+      ~characterizer_margin:0.0 ()
+  in
+  let consults = ref 0 in
+  let counted =
+    {
+      Milp.new_guide =
+        (fun () ->
+          let g = factory.Milp.new_guide () in
+          fun node ->
+            incr consults;
+            g node);
+      guide_stats = factory.Milp.guide_stats;
+    }
+  in
+  let options =
+    {
+      Verify.default_milp_options with
+      Milp.workers = 1;
+      absint = Some counted;
+      branch_rule = Milp.Guide_order;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> Absguide.set_scratch false)
+    (fun () ->
+      Absguide.set_scratch scratch;
+      let result, stats =
+        Milp_par.solve_with_stats ~options encoding.Encode.model
+      in
+      (result, stats, !consults))
+
+(* Scratch and incremental guides run the same engine (scratch only
+   invalidates back to layer 1 at every consult), so everything but the
+   layers propagated is identical.  Row: verdict, nodes, consults,
+   prunes, fixes, then scratch / incremental layers. *)
+let test_golden_incremental_rows () =
+  let milp_word = function
+    | Milp.Infeasible -> "safe"
+    | Milp.Optimal _ | Milp.Feasible _ -> "unsafe"
+    | _ -> "unknown"
+  in
+  let deep = [ 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 1 ] in
+  List.iter
+    (fun (name, seed, dims, blend, verdict, counts, layers) ->
+      let suffix, head, feature_box, psi =
+        golden_query ~name ~seed ~dims ~blend
+      in
+      let solve scratch =
+        consult_counted_solve ~scratch ~suffix ~head ~feature_box ~psi
+      in
+      let row (result, (st : Milp.stats), consults) =
+        ( milp_word result,
+          [
+            st.Milp.nodes_explored;
+            consults;
+            st.Milp.absint_prunes;
+            st.Milp.absint_phase_fixes;
+          ] )
+      in
+      let ((_, s_stats, _) as scratch) = solve true in
+      let ((_, i_stats, _) as incremental) = solve false in
+      let s_word, s_counts = row scratch in
+      let i_word, i_counts = row incremental in
+      Alcotest.(check string) (name ^ ": scratch verdict") i_word s_word;
+      Alcotest.(check (list int))
+        (name ^ ": scratch nodes, consults, prunes, fixes") i_counts s_counts;
+      Alcotest.(check string) (name ^ ": verdict") verdict i_word;
+      Alcotest.(check (list int))
+        (name ^ ": nodes, consults, prunes, fixes") counts i_counts;
+      Alcotest.(check (pair int int))
+        (name ^ ": scratch / incremental layers") layers
+        ( s_stats.Milp.absint_layers_propagated,
+          i_stats.Milp.absint_layers_propagated ))
+    [
+      ( "ext9/relu18-safe", 7, [ 5; 10; 8; 1 ], 0.2, "safe",
+        [ 38; 39; 1; 0 ], (234, 82) );
+      ( "ext9/relu64-hard-safe", 13, deep, 0.05, "safe",
+        [ 188; 201; 13; 4 ], (6767, 1502) );
+      ( "ext9/relu64-mid-safe", 19, deep, 0.05, "safe",
+        [ 39; 41; 2; 9 ], (1394, 232) );
+      ( "ext9/relu64-unsafe", 23, deep, 0.05, "unsafe",
+        [ 364; 392; 28; 46 ], (13092, 4848) );
+    ]
+
 let tests =
   [
     Alcotest.test_case "root unbounded stays Unbounded" `Quick
@@ -758,4 +965,7 @@ let tests =
       test_absint_stale_detected_and_recovered;
     Alcotest.test_case "bisection survivors seed the guide roots" `Quick
       test_bisection_seeds_guide_roots;
+    Alcotest.test_case "golden: EXT8 guide rows" `Quick test_golden_guide_rows;
+    Alcotest.test_case "golden: EXT9 incremental rows" `Quick
+      test_golden_incremental_rows;
   ]

@@ -266,6 +266,44 @@ let test_resumable_empty_then_recover () =
   Alcotest.(check bool) "bounds are the shifted box" true
     (same_float out.(0).Interval.lo 2.0 && same_float out.(0).Interval.hi 3.0)
 
+(* A resumed propagation writes into the state's preallocated layer
+   buffers.  On a 16-ReLU, width-4 stack, 2,000 cycles of invalidating
+   from layer 1 and propagating again allocate at most 8 minor words
+   per propagate (it is 0); one boxed float per neuron would be 128. *)
+let test_resumed_propagation_allocation () =
+  let relus = 16 and width = 4 in
+  let dims = (width :: List.init relus (fun _ -> width)) @ [ 1 ] in
+  let net = Test_absint_guided.golden_stack ~seed:11 dims in
+  let plan = Deeppoly.Resumable.plan net in
+  let phase_arrays =
+    Array.init
+      (Deeppoly.Resumable.num_layers plan + 1)
+      (fun l ->
+        if l >= 1 && Deeppoly.Resumable.is_relu plan l then
+          Array.make (Deeppoly.Resumable.layer_dim plan l) Deeppoly.Unknown
+        else [||])
+  in
+  let phases l = phase_arrays.(l) in
+  let st =
+    Deeppoly.Resumable.create plan
+      (Box_domain.uniform ~dim:width ~lo:(-1.0) ~hi:1.0)
+  in
+  let cycle () =
+    Deeppoly.Resumable.invalidate_from st 1;
+    ignore (Deeppoly.Resumable.propagate st ~phases : int)
+  in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let cycles = 2000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let per_propagate = (Gc.minor_words () -. before) /. float_of_int cycles in
+  if per_propagate > 8.0 then
+    Alcotest.failf "%.2f minor words per propagate (at most 8)" per_propagate
+
 let tests =
   [
     Alcotest.test_case "resumable ≡ scratch (random episodes)" `Quick
@@ -276,4 +314,6 @@ let tests =
       test_resumable_degenerate_floats;
     Alcotest.test_case "empty region then recovery" `Quick
       test_resumable_empty_then_recover;
+    Alcotest.test_case "resumed propagation allocation" `Quick
+      test_resumed_propagation_allocation;
   ]

@@ -364,6 +364,52 @@ let test_golden_one_worker_search () =
     "one-worker search digest" "86a8256e08be94f0d96463568489dc11"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
+(* The two synthetic MILPs of [bench/main.exe --smoke], built with the
+   same RNG draws ([hard_infeasible_model] is the bench's subset-sum
+   model).  Their one-worker work counts are pinned exactly: the same
+   kind of count as the digest above, readable row by row.  Never
+   re-record them to make a change pass. *)
+let knapsack_model n =
+  let rng = Rng.create 99 in
+  let m = ref (Lp.create ()) in
+  let vars =
+    Array.init n (fun _ ->
+        let model, v = Lp.add_var ~kind:Lp.Binary !m in
+        m := model;
+        v)
+  in
+  let weights = Array.map (fun _ -> Rng.uniform rng ~lo:1.0 ~hi:9.0) vars in
+  let values = Array.map (fun _ -> Rng.uniform rng ~lo:1.0 ~hi:9.0) vars in
+  let terms f = Array.to_list (Array.mapi (fun i v -> (f.(i), v)) vars) in
+  m :=
+    Lp.add_constraint !m (terms weights) Lp.Le
+      (0.4 *. Array.fold_left ( +. ) 0.0 weights);
+  Lp.set_objective !m Lp.Maximize (terms values)
+
+let test_golden_smoke_counts () =
+  List.iter
+    (fun (label, model, verdict, counts) ->
+      let result, s = Milp_par.solve_with_stats ~options:seq_options model in
+      Alcotest.(check string) (label ^ ": result") verdict
+        (classification result);
+      Alcotest.(check (list int))
+        (label ^ ": nodes, lps, pivots, warm, cold, max queue depth") counts
+        [
+          s.Milp.nodes_explored;
+          s.Milp.lp_solved;
+          s.Milp.pivots;
+          s.Milp.warm_starts;
+          s.Milp.cold_starts;
+          s.Milp.max_queue_depth;
+        ])
+    [
+      ("knapsack:16", knapsack_model 16, "optimal", [ 17; 17; 37; 16; 1; 9 ]);
+      ( "subset-sum:14",
+        hard_infeasible_model 14,
+        "infeasible",
+        [ 12869; 12869; 7595; 12868; 1; 8 ] );
+    ]
+
 (* A bisected query folds its sub-box solves with [add_stats]: the
    merged record must keep one slot per worker, not one per sub-box. *)
 let test_add_stats_per_worker_slots () =
@@ -462,6 +508,8 @@ let tests =
       test_sequential_queue_depth_tracked;
     Alcotest.test_case "golden one-worker search" `Quick
       test_golden_one_worker_search;
+    Alcotest.test_case "golden: smoke MILP counts" `Quick
+      test_golden_smoke_counts;
     Alcotest.test_case "add_stats sums per-worker slots" `Quick
       test_add_stats_per_worker_slots;
     Alcotest.test_case "branch-var tie-break by lowest index" `Quick
