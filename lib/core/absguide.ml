@@ -45,20 +45,13 @@ let phase_of node v =
   else if up <= 0.5 then Deeppoly.Inactive
   else Deeppoly.Unknown
 
-(* Interval of a linear expression over an output box (the same
-   arithmetic [Verify.expr_bounds] uses; duplicated because [Verify]
-   depends on this module, not the other way around). *)
+(* Interval of a linear expression over an output box. *)
 let expr_bounds (expr : Linexpr.t) box =
   List.fold_left
     (fun acc (c, i) -> Interval.add acc (Interval.scale c box.(i)))
     (Interval.point expr.Linexpr.const)
     (Linexpr.normalized_terms expr)
 
-(* Can the propagated output box still satisfy the query?  Mirrors the
-   [verify_incomplete] discharge conditions: the node is dead if some
-   psi inequality is unreachable from the output box, or the
-   characterizer logit provably stays below the margin.  Both tests are
-   strict, the same soundness convention [verify_incomplete] uses. *)
 let query_unreachable ~psi ~characterizer_margin ~output_box ~logit_box =
   logit_box.Interval.hi < characterizer_margin
   || List.exists

@@ -74,6 +74,18 @@ val seed_output_box : seed -> Dpv_absint.Box_domain.t
 val seed_logit_box : seed -> Dpv_absint.Interval.t
 (** The characterizer head's propagated logit interval. *)
 
+val query_unreachable :
+  psi:Dpv_spec.Risk.t ->
+  characterizer_margin:float ->
+  output_box:Dpv_absint.Box_domain.t ->
+  logit_box:Dpv_absint.Interval.t ->
+  bool
+(** Whether propagated bounds already rule the query out: the logit
+    stays strictly below [characterizer_margin], or some [psi]
+    inequality is strictly unreachable from [output_box].  The one
+    discharge test behind a guide prune, a {!Verify.bisect_plan}
+    sub-box discharge and a {!Verify.verify_incomplete} SAFE. *)
+
 val factory :
   ?budget_floats:int ->
   ?seed:seed ->

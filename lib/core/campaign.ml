@@ -44,11 +44,11 @@ let shard_index ~shards key =
 
 (* How the campaign spends its domain budget, as (pool runners, inner
    MILP workers).  [runners] is the total parallelism granted: with at
-   least as many unsolved queries as runners, the outer pool takes them
-   all and each solve stays sequential (nesting a domain pool per query
-   would oversubscribe); with fewer queries than runners — the sharded
+   least as many pending units as runners, the outer pool takes them
+   all and each solve stays sequential (nesting a domain pool per unit
+   would oversubscribe); with fewer units than runners — the sharded
    regime, or one huge query — the leftover domains move *inside* the
-   queries, splitting each MILP into subtree tasks so a campaign of one
+   units, splitting each MILP into subtree tasks so a campaign of one
    query still uses the whole budget.  [runners = 1] defers entirely to
    the caller's [milp_workers]. *)
 let plan_workers ~runners ~milp_workers ~pending =
@@ -107,6 +107,37 @@ type report = {
 
 let skip_reason = "budget exhausted"
 
+(* What one schedulable unit ended as, before its query folds it in. *)
+type unit_outcome =
+  | Solved of Verify.result * Retry.telemetry
+  | Unit_crashed of string
+  | Unit_skipped
+
+(* A query that reached the pool.  [p_plan] is [None] when it runs
+   whole (its one unit's outcome is the query's), and
+   [Some (discharged, total_subboxes)] when its units merge under
+   {!Verify.merge_bisected}.  Each unit fills its own outcome slot. *)
+type pending = {
+  p_slot : int;
+  p_shared : Encode.shared;
+  p_from_cache : bool;
+  p_plan : (int * int) option;
+  p_outcomes : unit_outcome option array;
+  p_left : int Atomic.t;  (** units not yet recorded *)
+}
+
+(* One pool task: the whole shared prefix of an unbisected query, or
+   one surviving sub-box of a bisected query's plan. *)
+type work_unit = {
+  u_pending : pending;
+  u_index : int;  (** position in the plan *)
+  u_box : Dpv_absint.Box_domain.t option;  (** restrict the prefix to it *)
+  u_seed : Absguide.seed option;  (** the guide's root state *)
+  u_time_cap_s : float option;  (** on top of the carved budget *)
+  u_span : string;
+  u_span_args : (string * string) list;
+}
+
 let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
     ?budget_s ?journal ?resume ?(absint = false) ?bisect ?cache ?on_settled
     ?(trace = "") ~perception queries =
@@ -158,54 +189,55 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
           | Done _ -> Hashtbl.replace resume_tbl e.Journal.key e
           | Crashed _ | Skipped _ -> ())
         entries);
-  (* The settle hook is observability, not control flow: a raising
-     subscriber (a vanished network client, say) must never take the
-     solve down with it. *)
-  let settled qr =
-    match on_settled with
-    | None -> ()
-    | Some f -> ( try f qr with _ -> ())
-  in
-  let reports : query_report option array = Array.make n None in
-  Array.iteri
-    (fun i (key, q) ->
-      match Hashtbl.find_opt resume_tbl key with
-      | None -> ()
-      | Some e ->
-          let qr =
-            {
-              query = q;
-              outcome = e.Journal.outcome;
-              from_cache = false;
-              from_journal = true;
-              attempts = e.Journal.attempts;
-              dense_retry = e.Journal.dense_retry;
-              deadline_retry = e.Journal.deadline_retry;
-            }
-          in
-          settled qr;
-          reports.(i) <- Some qr)
-    keyed;
+  let replayed = Array.map (fun (key, _) -> Hashtbl.find_opt resume_tbl key) keyed in
   (* Seed the journal writer with the replayed entries (in input order)
      so the file on disk always describes the whole campaign. *)
-  let seed =
-    Array.to_list keyed
-    |> List.filter_map (fun (key, _) -> Hashtbl.find_opt resume_tbl key)
-  in
+  let seed = List.filter_map Fun.id (Array.to_list replayed) in
   let writer = Option.map (fun path -> Journal.create ~path seed) journal in
   let journal_write_failures = Atomic.make 0 in
-  let journal_append entry =
-    match writer with
-    | None -> ()
-    | Some w -> (
-        try Journal.append w entry
+  (* A failed write is counted, not fatal: the writer keeps the entry in
+     memory and its next successful append rewrites the complete
+     journal.  A campaign must not die on a full disk when it still has
+     verdicts to produce. *)
+  let journal_write f =
+    Option.iter
+      (fun w ->
+        try f w
         with Sys_error _ ->
-          (* The entry is retained in memory; the next successful append
-             rewrites the complete journal.  A campaign must not die on
-             a full disk when it still has verdicts to produce. *)
           Atomic.incr journal_write_failures;
           Metrics.incr m_journal_failures 1)
+      writer
   in
+  let reports : query_report option array = Array.make n None in
+  (* Every query settles here exactly once: replayed from the resume
+     journal, or journaled by the task that finished it (a campaign
+     killed right after still has the verdict on disk), then handed to
+     [on_settled] and slotted into the report. *)
+  let settle ?(from_cache = false) ?(from_journal = false) ?(attempts = 1)
+      ?(dense_retry = false) ?(deadline_retry = false) i outcome =
+    let key, q = keyed.(i) in
+    if not from_journal then
+      journal_write (fun w ->
+          Journal.append w
+            { Journal.key; label = q.label; outcome; attempts; dense_retry;
+              deadline_retry });
+    let qr =
+      { query = q; outcome; from_cache; from_journal; attempts; dense_retry;
+        deadline_retry }
+    in
+    (* The settle hook is observability, not control flow: a raising
+       subscriber (a vanished network client, say) must never take the
+       solve down with it. *)
+    Option.iter (fun f -> try f qr with _ -> ()) on_settled;
+    reports.(i) <- Some qr
+  in
+  Array.iteri
+    (fun i ->
+      Option.iter (fun (e : Journal.entry) ->
+          settle ~from_journal:true ~attempts:e.Journal.attempts
+            ~dense_retry:e.Journal.dense_retry
+            ~deadline_retry:e.Journal.deadline_retry i e.Journal.outcome))
+    replayed;
   (* Phase 1 — resolve each distinct (cut, bounds) region once, for the
      queries that actually need solving.  Keys compare structurally, so
      two queries quoting equal visited-point sets (or the same array)
@@ -215,7 +247,7 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
   let cache = match cache with Some c -> c | None -> create_cache () in
   let hits = ref 0 and misses = ref 0 in
   (* A failed build is this query's failure, not the campaign's: the
-     error is carried to [run_one] and recorded as a [Crashed] outcome.
+     error is carried to phase 2a and recorded as a [Crashed] outcome.
      Failures are deliberately not cached — a later query on the same
      key retries the build (transient numerical trouble in the octagon
      pruning LPs should not condemn every query of the key).  A caller
@@ -251,406 +283,203 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
             Error (Printf.sprintf "encoding failed: %s" (Printexc.to_string e)))
   in
   let prepared =
-    Array.to_list keyed
-    |> List.mapi (fun i (key, q) -> (i, key, q))
-    |> List.filter (fun (i, _, _) -> reports.(i) = None)
-    |> List.map (fun (i, key, q) -> (i, key, q, shared_for q))
+    List.init n Fun.id
+    |> List.filter (fun i -> reports.(i) = None)
+    |> List.map (fun i -> (i, shared_for (snd keyed.(i))))
   in
-  let prepared_arr = Array.of_list prepared in
-  (* Phase 2 — the solves fan out on the work-stealing pool over the
-     now read-only cache.  [plan_workers] splits the domain budget:
-     enough unsolved units and the pool takes one coarse task per unit
-     with sequential inner solves; fewer units than runners (a thin
-     shard, or one huge query) and the spare domains move inside the
-     MILPs as subtree-search workers instead of idling.  Without
-     bisection the schedulable unit is the query; with it, each
-     surviving sub-box of a query's bisection plan. *)
-  (match bisect with
-  | None ->
-      let outer_runners, inner_workers =
-        plan_workers ~runners ~milp_workers:milp_options.Milp.workers
-          ~pending:(List.length prepared)
-      in
-      let run_one (_i, key, q, shared_res) =
-        let finish qr = settled qr; qr in
-        match shared_res with
-        | Error reason ->
-            journal_append
-              {
-                Journal.key;
-                label = q.label;
-                outcome = Crashed reason;
-                attempts = 1;
-                dense_retry = false;
-                deadline_retry = false;
-              };
-            finish
-            {
-              query = q;
-              outcome = Crashed reason;
-              from_cache = false;
-              from_journal = false;
-              attempts = 1;
-              dense_retry = false;
-              deadline_retry = false;
-            }
-        | Ok (shared, from_cache) ->
-        if Clock.expired deadline then begin
-          (* Recorded, not dropped: the report (and journal) say exactly
-             which queries the budget never reached. *)
-          journal_append
-            {
-              Journal.key;
-              label = q.label;
-              outcome = Skipped skip_reason;
-              attempts = 0;
-              dense_retry = false;
-              deadline_retry = false;
-            };
-          finish
-          {
-            query = q;
-            outcome = Skipped skip_reason;
-            from_cache;
-            from_journal = false;
-            attempts = 0;
-            dense_retry = false;
-            deadline_retry = false;
-          }
-        end
-        else begin
-          if Faults.fire Faults.Task_crash then failwith "injected task crash";
-          (* Carved at task start, so early queries cannot spend the whole
-             campaign budget before later ones get their slice checked. *)
-          let options =
-            {
-              milp_options with
-              Milp.workers = inner_workers;
-              time_limit_s = Clock.carve deadline milp_options.Milp.time_limit_s;
-            }
+  (* Phase 2a — sequential: turn each prepared query into units.
+     Without bisection that is one unit over the whole shared prefix.
+     With it, the input-bisection plan discharges cheap sub-boxes with
+     DeepPoly and leaves one unit per survivor, so [plan_workers] sees
+     the real pending width (one hard query still fans out across the
+     domain budget).  A query left with no unit — its encoding failed,
+     or its plan discharged every sub-box — settles right here. *)
+  let units_of (i, shared_res) =
+    let q = snd keyed.(i) in
+    match shared_res with
+    | Error reason ->
+        settle i (Crashed reason);
+        []
+    | Ok (shared, from_cache) -> (
+        (* [parts]: each unit's (sub-box, root seed), in plan order. *)
+        let units ?plan ~span ~time_cap_s parts =
+          let n = List.length parts in
+          let p =
+            { p_slot = i; p_shared = shared; p_from_cache = from_cache;
+              p_plan = plan; p_outcomes = Array.make n None;
+              p_left = Atomic.make n }
           in
-          let result, t =
-            Trace.with_span
-              ~args:[ ("label", q.label) ]
-              "campaign.query"
-              (fun () ->
-                Retry.solve ~options ~deadline (fun opts ->
-                    Verify.run_query ~milp_options:opts ~absint
-                      ~characterizer_margin:q.characterizer_margin ~shared
-                      ~head:q.characterizer.Characterizer.head ~psi:q.psi
-                      ~conditional:(Verify.is_conditional q.bounds) ()))
-          in
-          (* Journal from inside the task: a campaign killed right after
-             this solve still has the verdict on disk. *)
-          journal_append
-            {
-              Journal.key;
-              label = q.label;
-              outcome = Done result;
-              attempts = t.Retry.attempts;
-              dense_retry = t.Retry.dense_retry;
-              deadline_retry = t.Retry.deadline_retry;
-            };
-          finish
-          {
-            query = q;
-            outcome = Done result;
-            from_cache;
-            from_journal = false;
-            attempts = t.Retry.attempts;
-            dense_retry = t.Retry.dense_retry;
-            deadline_retry = t.Retry.deadline_retry;
-          }
-        end
-      in
-      let out = Pool.map_list ~workers:outer_runners run_one prepared in
-      (* Per-query fault isolation: an exception in one task (including a
-         worker-domain death) becomes that query's [Crashed] outcome; every
-         other cell of [out] is untouched by it. *)
-      Array.iteri
-        (fun j cell ->
-          let i, key, q, shared_res = prepared_arr.(j) in
-          let from_cache =
-            match shared_res with Ok (_, fc) -> fc | Error _ -> false
-          in
-          let crashed reason =
-            journal_append
-              {
-                Journal.key;
-                label = q.label;
-                outcome = Crashed reason;
-                attempts = 1;
-                dense_retry = false;
-                deadline_retry = false;
-              };
-            {
-              query = q;
-              outcome = Crashed reason;
-              from_cache;
-              from_journal = false;
-              attempts = 1;
-              dense_retry = false;
-              deadline_retry = false;
-            }
-          in
-          let qr =
-            match cell with
-            | Some (Ok r) -> r
-            | Some (Error e) ->
-                let qr = crashed (Printexc.to_string e) in
-                settled qr;
-                qr
-            | None ->
-                let qr = crashed "worker abandoned task" in
-                settled qr;
-                qr
-          in
-          reports.(i) <- Some qr)
-        out
-  | Some b ->
-      (* Phase 2a — sequential planning: split each query's feature box,
-         discharging cheap sub-boxes with DeepPoly propagation.  Queries
-         whose plan leaves no survivors are Safe right here; the rest
-         contribute one schedulable unit per surviving sub-box, which is
-         what lets [plan_workers] see the real pending width (a campaign
-         of one hard query still fans out across the domain budget). *)
-      let np = Array.length prepared_arr in
-      let plans = Array.make np None in
-      let units = ref [] in
-      Array.iteri
-        (fun j (i, key, q, shared_res) ->
-          match shared_res with
-          | Error reason ->
-              journal_append
-                {
-                  Journal.key;
-                  label = q.label;
-                  outcome = Crashed reason;
-                  attempts = 1;
-                  dense_retry = false;
-                  deadline_retry = false;
-                };
-              let qr =
-                {
-                  query = q;
-                  outcome = Crashed reason;
-                  from_cache = false;
-                  from_journal = false;
-                  attempts = 1;
-                  dense_retry = false;
-                  deadline_retry = false;
-                }
-              in
-              settled qr;
-              reports.(i) <- Some qr
-          | Ok (shared, from_cache) -> (
-              let t0 = Clock.now_s () in
-              let plan_res =
-                let feature_box = Encode.feature_box_of_shared shared in
-                match
-                  Verify.bisect_plan ~max_depth:b.Verify.max_depth
-                    ~suffix:(Encode.suffix_of_shared shared)
-                    ~head:q.characterizer.Characterizer.head ~psi:q.psi
-                    ~characterizer_margin:q.characterizer_margin feature_box
-                with
-                | plan -> Ok plan
-                | exception _ -> Error feature_box
-              in
-              match plan_res with
-              | Error feature_box ->
-                  (* Planning is an optimization; if propagation dies
-                     the whole box is solved as a single unit, with no
-                     root seed to hand the guide. *)
-                  plans.(j) <- Some (0, 1, from_cache);
-                  units := (j, 0, feature_box, None) :: !units
-              | Ok ({ Verify.survivors = []; _ } as plan) ->
-                  (* Every sub-box discharged by propagation alone. *)
-                  let result =
-                    Verify.merge_bisected
-                      ~conditional:(Verify.is_conditional q.bounds)
-                      ~discharged:plan.Verify.discharged
-                      ~total_subboxes:(Verify.plan_total plan)
-                      ~wall_time_s:(Clock.now_s () -. t0) ~unsolved:0 []
-                  in
-                  journal_append
-                    {
-                      Journal.key;
-                      label = q.label;
-                      outcome = Done result;
-                      attempts = 1;
-                      dense_retry = false;
-                      deadline_retry = false;
-                    };
-                  let qr =
-                    {
-                      query = q;
-                      outcome = Done result;
-                      from_cache;
-                      from_journal = false;
-                      attempts = 1;
-                      dense_retry = false;
-                      deadline_retry = false;
-                    }
-                  in
-                  settled qr;
-                  reports.(i) <- Some qr
-              | Ok plan ->
-                  plans.(j) <-
-                    Some
-                      ( plan.Verify.discharged,
-                        Verify.plan_total plan,
-                        from_cache );
-                  List.iteri
-                    (fun si (sub, sd) ->
-                      units := (j, si, sub, Some sd) :: !units)
-                    plan.Verify.survivors))
-        prepared_arr;
-      let units = List.rev !units in
-      let outer_runners, inner_workers =
-        plan_workers ~runners ~milp_workers:milp_options.Milp.workers
-          ~pending:(List.length units)
-      in
-      (* Phase 2b — solve the surviving sub-boxes on the pool, each on a
-         prefix rebuilt over its sub-box. *)
-      let run_unit (j, si, sub, sd) =
-        let _i, _key, q, shared_res = prepared_arr.(j) in
-        let shared =
-          match shared_res with Ok (s, _) -> s | Error _ -> assert false
+          List.mapi
+            (fun si (box, seed) ->
+              { u_pending = p; u_index = si; u_box = box; u_seed = seed;
+                u_time_cap_s = time_cap_s; u_span = span;
+                u_span_args =
+                  ("label", q.label)
+                  :: (if plan = None then [] else [ ("subbox", string_of_int si) ]) })
+            parts
         in
-        if Clock.expired deadline then `Skipped
-        else begin
-          if Faults.fire Faults.Task_crash then failwith "injected task crash";
-          let budget =
-            let carved =
-              Clock.carve deadline milp_options.Milp.time_limit_s
+        match bisect with
+        | None -> units ~span:"campaign.query" ~time_cap_s:None [ (None, None) ]
+        | Some b -> (
+            let subboxes =
+              units ~span:"campaign.subbox"
+                ~time_cap_s:b.Verify.subbox_time_limit_s
             in
-            match (carved, b.Verify.subbox_time_limit_s) with
-            | None, t | t, None -> t
-            | Some a, Some c -> Some (Stdlib.min a c)
-          in
-          let options =
-            {
-              milp_options with
-              Milp.workers = inner_workers;
-              time_limit_s = budget;
-            }
-          in
-          let sub_shared = Encode.restrict_shared shared ~feature_box:sub in
-          let result, t =
-            Trace.with_span
-              ~args:
-                [ ("label", q.label); ("subbox", string_of_int si) ]
-              "campaign.subbox"
-              (fun () ->
-                Retry.solve ~options ~deadline (fun opts ->
-                    Verify.run_query ~milp_options:opts ~absint
-                      ?absint_seed:sd
-                      ~characterizer_margin:q.characterizer_margin
-                      ~shared:sub_shared
-                      ~head:q.characterizer.Characterizer.head ~psi:q.psi
-                      ~conditional:(Verify.is_conditional q.bounds) ()))
-          in
-          `Done (result, t)
-        end
-      in
-      let out = Pool.map_list ~workers:outer_runners run_unit units in
-      (* Fold unit outcomes back per query.  Fault isolation is per
-         sub-box: one crashed unit leaves its siblings' verdicts
-         standing, and the merged outcome degrades to [Crashed] only
-         when no UNSAFE witness was found elsewhere. *)
-      let unit_arr = Array.of_list units in
-      let dones = Array.make np [] in
-      let crashes = Array.make np [] in
-      let skips = Array.make np 0 in
-      let attempts = Array.make np 0 in
-      let dense = Array.make np false in
-      let dl = Array.make np false in
-      Array.iteri
-        (fun k cell ->
-          let j, _si, _sub, _sd = unit_arr.(k) in
-          match cell with
-          | Some (Ok `Skipped) -> skips.(j) <- skips.(j) + 1
-          | Some (Ok (`Done (r, t))) ->
-              dones.(j) <- r :: dones.(j);
-              attempts.(j) <- Stdlib.max attempts.(j) t.Retry.attempts;
-              if t.Retry.dense_retry then dense.(j) <- true;
-              if t.Retry.deadline_retry then dl.(j) <- true
-          | Some (Error e) -> crashes.(j) <- Printexc.to_string e :: crashes.(j)
-          | None -> crashes.(j) <- "worker abandoned task" :: crashes.(j))
-        out;
-      Array.iteri
-        (fun j (i, key, q, _shared_res) ->
-          match plans.(j) with
-          | None -> ()
-          | Some (discharged, total_subboxes, from_cache) ->
-              let done_results = List.rev dones.(j) in
-              let crashed_reasons = List.rev crashes.(j) in
-              let merge ~unsolved =
-                Verify.merge_bisected
-                  ~conditional:(Verify.is_conditional q.bounds)
-                  ~discharged ~total_subboxes
-                  ~wall_time_s:
-                    (List.fold_left
-                       (fun acc (r : Verify.result) ->
-                         acc +. r.Verify.wall_time_s)
-                       0.0 done_results)
-                  ~unsolved done_results
-              in
-              let unsafe_found =
-                List.exists
-                  (fun (r : Verify.result) ->
-                    match r.Verify.verdict with
-                    | Verify.Unsafe _ -> true
-                    | _ -> false)
-                  done_results
-              in
-              let outcome =
-                (* A validated UNSAFE witness decides the query no matter
-                   what happened to the other sub-boxes; below that the
-                   worst infrastructure outcome wins so degradation is
-                   never hidden behind a partial Safe. *)
-                if unsafe_found then
-                  Done
-                    (merge
-                       ~unsolved:(List.length crashed_reasons + skips.(j)))
-                else
-                  match crashed_reasons with
-                  | reason :: _ ->
-                      Crashed (Printf.sprintf "sub-box crashed: %s" reason)
-                  | [] ->
-                      if skips.(j) > 0 then Skipped skip_reason
-                      else Done (merge ~unsolved:0)
-              in
-              let att = Stdlib.max 1 attempts.(j) in
-              journal_append
-                {
-                  Journal.key;
-                  label = q.label;
-                  outcome;
-                  attempts = att;
-                  dense_retry = dense.(j);
-                  deadline_retry = dl.(j);
-                };
-              let qr =
-                {
-                  query = q;
-                  outcome;
-                  from_cache;
-                  from_journal = false;
-                  attempts = att;
-                  dense_retry = dense.(j);
-                  deadline_retry = dl.(j);
-                }
-              in
-              settled qr;
-              reports.(i) <- Some qr)
-        prepared_arr);
-  let query_reports =
-    Array.to_list reports
-    |> List.map (function
-         | Some r -> r
-         | None -> assert false (* every index is resumed or prepared *))
+            let t0 = Clock.now_s () in
+            let feature_box = Encode.feature_box_of_shared shared in
+            match
+              Verify.bisect_plan ~max_depth:b.Verify.max_depth
+                ~suffix:(Encode.suffix_of_shared shared)
+                ~head:q.characterizer.Characterizer.head ~psi:q.psi
+                ~characterizer_margin:q.characterizer_margin feature_box
+            with
+            | exception _ ->
+                (* Planning is an optimization; if propagation dies the
+                   whole box is solved as a single unit, with no root
+                   seed to hand the guide. *)
+                subboxes ~plan:(0, 1) [ (Some feature_box, None) ]
+            | { Verify.survivors = []; discharged } as plan ->
+                (* Every sub-box discharged by propagation alone. *)
+                settle ~from_cache i
+                  (Done
+                     (Verify.merge_bisected
+                        ~conditional:(Verify.is_conditional q.bounds)
+                        ~discharged ~total_subboxes:(Verify.plan_total plan)
+                        ~wall_time_s:(Clock.now_s () -. t0) ~unsolved:0 []));
+                []
+            | { Verify.survivors; discharged } as plan ->
+                subboxes
+                  ~plan:(discharged, Verify.plan_total plan)
+                  (List.map (fun (box, sd) -> (Some box, Some sd)) survivors)))
   in
+  let units = List.concat_map units_of prepared in
+  (* Phase 2b — the units fan out on the work-stealing pool over the
+     now read-only cache.  [plan_workers] splits the domain budget:
+     enough units and the pool takes one coarse task per unit with
+     sequential inner solves; fewer units than runners (a thin shard,
+     or one huge query) and the spare domains move inside the MILPs as
+     subtree-search workers instead of idling. *)
+  let outer_runners, inner_workers =
+    plan_workers ~runners ~milp_workers:milp_options.Milp.workers
+      ~pending:(List.length units)
+  in
+  let solve u =
+    let p = u.u_pending in
+    let q = snd keyed.(p.p_slot) in
+    (* Recorded, not dropped: the report (and journal) say exactly
+       which queries the budget never reached. *)
+    if Clock.expired deadline then Unit_skipped
+    else begin
+      if Faults.fire Faults.Task_crash then failwith "injected task crash";
+      (* Carved at task start, so early units cannot spend the whole
+         campaign budget before later ones get their slice checked. *)
+      let options =
+        {
+          milp_options with
+          Milp.workers = inner_workers;
+          time_limit_s =
+            (match (Clock.carve deadline milp_options.Milp.time_limit_s, u.u_time_cap_s) with
+            | None, t | t, None -> t
+            | Some a, Some c -> Some (Stdlib.min a c));
+        }
+      in
+      let shared =
+        match u.u_box with
+        | None -> p.p_shared
+        | Some box -> Encode.restrict_shared p.p_shared ~feature_box:box
+      in
+      let result, t =
+        Trace.with_span ~args:u.u_span_args u.u_span (fun () ->
+            Retry.solve ~options ~deadline (fun opts ->
+                Verify.run_query ~milp_options:opts ~absint
+                  ?absint_seed:u.u_seed
+                  ~characterizer_margin:q.characterizer_margin ~shared
+                  ~head:q.characterizer.Characterizer.head ~psi:q.psi
+                  ~conditional:(Verify.is_conditional q.bounds) ()))
+      in
+      Solved (result, t)
+    end
+  in
+  (* Fold a query's unit outcomes, in plan order, into its outcome.  A
+     validated UNSAFE witness decides the query no matter what happened
+     to its other units; below that the worst infrastructure outcome
+     wins, so degradation is never hidden behind a partial Safe.  Fault
+     isolation is per unit: one crashed sub-box leaves its siblings'
+     verdicts standing. *)
+  let finish p =
+    let q = snd keyed.(p.p_slot) in
+    let outcomes = Array.to_list (Array.map Option.get p.p_outcomes) in
+    let solved =
+      List.filter_map (function Solved (r, t) -> Some (r, t) | _ -> None) outcomes
+    in
+    let results = List.map fst solved in
+    let unsolved = List.length outcomes - List.length results in
+    let result () =
+      match p.p_plan with
+      | None -> List.hd results
+      | Some (discharged, total_subboxes) ->
+          Verify.merge_bisected ~conditional:(Verify.is_conditional q.bounds)
+            ~discharged ~total_subboxes
+            ~wall_time_s:
+              (List.fold_left
+                 (fun acc (r : Verify.result) -> acc +. r.Verify.wall_time_s)
+                 0.0 results)
+            ~unsolved results
+    in
+    let unsafe (r : Verify.result) =
+      match r.Verify.verdict with Verify.Unsafe _ -> true | _ -> false
+    in
+    let outcome =
+      if List.exists unsafe results then Done (result ())
+      else
+        match
+          ( List.find_map (function Unit_crashed why -> Some why | _ -> None) outcomes,
+            p.p_plan )
+        with
+        | Some why, None -> Crashed why
+        | Some why, Some _ -> Crashed ("sub-box crashed: " ^ why)
+        | None, _ -> if unsolved > 0 then Skipped skip_reason else Done (result ())
+    in
+    (* Attempts are the most any unit that ran needed: at least 1 once
+       the query is solved or crashed, 0 when the budget reached none. *)
+    let attempts, dense_retry, deadline_retry =
+      List.fold_left
+        (fun (a, d, l) (_, (t : Retry.telemetry)) ->
+          ( Stdlib.max a t.Retry.attempts,
+            d || t.Retry.dense_retry,
+            l || t.Retry.deadline_retry ))
+        (0, false, false) solved
+    in
+    settle ~from_cache:p.p_from_cache
+      ~attempts:(match outcome with Skipped _ -> attempts | _ -> Stdlib.max 1 attempts)
+      ~dense_retry ~deadline_retry p.p_slot outcome
+  in
+  (* Each task records its unit's outcome, exceptions included; the one
+     that records a query's last unit settles the query. *)
+  let out =
+    Pool.map_list ~workers:outer_runners
+      (fun u ->
+        let p = u.u_pending in
+        p.p_outcomes.(u.u_index) <-
+          Some (try solve u with e -> Unit_crashed (Printexc.to_string e));
+        if Atomic.fetch_and_add p.p_left (-1) = 1 then finish p)
+      units
+  in
+  (* A unit's own exceptions became its outcome, so a query is still
+     unsettled here only if settling raised or the pool never ran one of
+     its units: it settles as crashed instead of going missing. *)
+  List.iteri
+    (fun k u ->
+      let p = u.u_pending in
+      if Option.is_none reports.(p.p_slot) then
+        settle ~from_cache:p.p_from_cache p.p_slot
+          (Crashed
+             (match out.(k) with
+             | Some (Error e) -> Printexc.to_string e
+             | _ -> "worker abandoned task")))
+    units;
+  (* Every index was replayed or settled above. *)
+  let query_reports = Array.to_list (Array.map Option.get reports) in
   let count p = List.length (List.filter p query_reports) in
   let crashed = count (fun r -> match r.outcome with Crashed _ -> true | _ -> false) in
   let skipped = count (fun r -> match r.outcome with Skipped _ -> true | _ -> false) in
@@ -670,22 +499,14 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
   (* Shard trailers are mandatory for merge; unsharded journals only
      grow one when there is a trace id worth correlating (served jobs),
      so plain batch journals stay one-line-per-query. *)
-  let meta_of i shards =
-    { Journal.shard = i; shard_count = shards; runners; total_wall_s; trace;
-      metrics }
-  in
-  (match (shard, writer) with
-  | Some (i, shards), Some w -> (
-      try Journal.append_meta w (meta_of i shards)
-      with Sys_error _ ->
-        Atomic.incr journal_write_failures;
-        Metrics.incr m_journal_failures 1)
-  | None, Some w when trace <> "" -> (
-      try Journal.append_meta w (meta_of 0 1)
-      with Sys_error _ ->
-        Atomic.incr journal_write_failures;
-        Metrics.incr m_journal_failures 1)
-  | _ -> ());
+  (match shard with
+  | Some (i, shards) -> Some (i, shards)
+  | None -> if trace <> "" then Some (0, 1) else None)
+  |> Option.iter (fun (i, shards) ->
+         journal_write (fun w ->
+             Journal.append_meta w
+               { Journal.shard = i; shard_count = shards; runners;
+                 total_wall_s; trace; metrics }));
   Option.iter Journal.close writer;
   {
     query_reports;
@@ -893,46 +714,26 @@ let merge_journals shards =
   let metas = List.concat_map snd shards in
   (entries, metas)
 
-(* Exit-code severity for a merged journal, same precedence the CLI
-   applies to a live campaign: unsafe (1) dominates — a safety
-   counterexample must never be masked by infrastructure trouble —
-   then degraded (4: crashed or skipped queries), then unknown (2),
-   then clean (0). *)
-let worst_exit_code entries =
-  let code_of (e : Journal.entry) =
-    match e.Journal.outcome with
-    | Done r -> (
-        match r.Verify.verdict with
-        | Verify.Unsafe _ -> 1
-        | Verify.Unknown _ -> 2
-        | Verify.Safe _ -> 0)
-    | Crashed _ | Skipped _ -> 4
-  in
-  let severity = function 1 -> 3 | 4 -> 2 | 2 -> 1 | _ -> 0 in
-  List.fold_left
-    (fun worst e ->
-      let c = code_of e in
-      if severity c > severity worst then c else worst)
-    0 entries
+(* The one exit-code severity ladder, shared by the CLI campaign
+   command, the serve daemon and merge-journals, so a streamed job, its
+   batch twin and a merged partition can never disagree on the code:
+   unsafe (1) dominates — a safety counterexample must never be masked
+   by infrastructure trouble — then degraded (4: crashed or skipped
+   queries), then unknown (2), then clean (0). *)
+let exit_code outcomes =
+  let any p = List.exists p outcomes in
+  if any (function Done { Verify.verdict = Verify.Unsafe _; _ } -> true | _ -> false)
+  then 1
+  else if any (function Crashed _ | Skipped _ -> true | Done _ -> false) then 4
+  else if any (function Done { Verify.verdict = Verify.Unknown _; _ } -> true | _ -> false)
+  then 2
+  else 0
 
-(* Same severity ladder over a live report — the single definition the
-   CLI campaign command and the serve daemon both answer with, so a
-   streamed job and its batch twin can never disagree on the code. *)
+let worst_exit_code entries =
+  exit_code (List.map (fun (e : Journal.entry) -> e.Journal.outcome) entries)
+
 let report_exit_code report =
-  let any p = List.exists p report.query_reports in
-  let unsafe =
-    any (fun r ->
-        match r.outcome with
-        | Done { Verify.verdict = Verify.Unsafe _; _ } -> true
-        | _ -> false)
-  in
-  let unknown =
-    any (fun r ->
-        match r.outcome with
-        | Done { Verify.verdict = Verify.Unknown _; _ } -> true
-        | _ -> false)
-  in
-  if unsafe then 1 else if report.degraded then 4 else if unknown then 2 else 0
+  exit_code (List.map (fun r -> r.outcome) report.query_reports)
 
 (* The dpv-campaign/2 report of a merged partition, rebuilt from what
    the shard journals persist.  Whole-campaign totals come from the

@@ -70,12 +70,13 @@ val shard_index : shards:int -> string -> int
 val plan_workers :
   runners:int -> milp_workers:int -> pending:int -> int * int
 (** [(pool_runners, inner_workers)] for a campaign granted [runners]
-    domains with [pending] unsolved queries: [(1, milp_workers)] when
-    [runners = 1] (defer to the caller's MILP setting), [(runners, 1)]
-    when queries are plentiful, and [(pending, runners / pending)] when
-    queries are scarcer than domains, so thin shards spend the budget
-    inside the MILP subtree searches instead of idling.  Exposed for
-    tests.  Raises [Invalid_argument] if [runners < 1]. *)
+    domains with [pending] units to solve (see {!run}):
+    [(1, milp_workers)] when [runners = 1] (defer to the caller's MILP
+    setting), [(runners, 1)] when units are plentiful, and
+    [(pending, runners / pending)] when units are scarcer than domains,
+    so thin shards spend the budget inside the MILP subtree searches
+    instead of idling.  Exposed for tests.  Raises [Invalid_argument]
+    if [runners < 1]. *)
 
 type outcome = Journal.outcome =
   | Done of Verify.result
@@ -90,7 +91,10 @@ type query_report = {
           cache when the campaign prepared it *)
   from_journal : bool;
       (** replayed from a resume journal instead of being solved *)
-  attempts : int;       (** retry-ladder attempts; 0 for [Skipped] *)
+  attempts : int;
+      (** retry-ladder attempts: the most any of the query's units
+          needed, at least 1 for [Done] and [Crashed], 0 for a
+          [Skipped] query none of whose units ran *)
   dense_retry : bool;
   deadline_retry : bool;
 }
@@ -163,6 +167,15 @@ val run :
     {e this} run built; [hits] includes warm hits against entries a
     previous run left in a persistent cache.
 
+    Every query that needs solving becomes units, the tasks of one
+    runner pool: without [bisect] one unit over the query's whole
+    shared prefix, with it one unit per surviving sub-box.  A query
+    settles in the task that finishes its last unit, which folds the
+    unit outcomes in plan order, journals the query and hands it to
+    [on_settled].  Queries left with no unit settle before the pool
+    starts: an encoding failure as [Crashed], a plan whose every
+    sub-box propagation discharged as [Done].
+
     [on_settled] is invoked once per query as its outcome settles
     (solved, crashed, skipped, or replayed from the resume journal) —
     the hook behind streamed serve verdicts.  It is called from worker
@@ -175,33 +188,35 @@ val run :
     on every solve (see {!Verify.run_query}).  [bisect] (default off)
     turns each query into its input-bisection plan
     ({!Verify.bisect_plan}): sub-boxes discharged by propagation cost
-    no solve at all, and each surviving sub-box becomes its own
-    schedulable unit — so {!plan_workers} sees the true pending width
-    and a campaign of one hard query still fans out across the domain
-    budget.  Per-query verdicts are merged soundly
-    ({!Verify.merge_bisected}); a validated UNSAFE witness in any
-    sub-box decides its query even if sibling sub-boxes crashed, and
-    otherwise one crashed (resp. budget-skipped) sub-box degrades the
-    query to [Crashed] (resp. [Skipped]).  The journal records one
-    merged entry per query, so resume and sharding are oblivious to
+    no solve at all, and each surviving sub-box becomes its own unit —
+    so {!plan_workers} sees the true pending width and a campaign of
+    one hard query still fans out across the domain budget.  Per-query
+    verdicts are merged soundly ({!Verify.merge_bisected}); a
+    validated UNSAFE witness in any sub-box decides its query even if
+    sibling sub-boxes crashed, and otherwise one crashed (resp.
+    budget-skipped) sub-box degrades the query to [Crashed] (resp.
+    [Skipped]).  The journal records one merged entry per query,
+    written (and passed to [on_settled]) when the query's last
+    sub-box finishes, so resume and sharding are oblivious to
     bisection.
 
     [runners] (default 1) is the campaign's total domain budget.
-    {!plan_workers} splits it between the query pool and the inner
-    MILP searches: with at least [runners] unsolved queries, one
-    coarse-grained task per query with sequential inner solves (tasks
-    never nest domain pools); with fewer unsolved queries than runners
-    — a thin shard, or one large query — the spare domains move inside
-    the MILPs as subtree-search workers.  With [runners = 1] the
+    {!plan_workers} splits it between the unit pool and the inner
+    MILP searches: with at least [runners] units, one coarse-grained
+    task per unit with sequential inner solves (tasks never nest
+    domain pools); with fewer units than runners — a thin shard, or
+    one large query — the spare domains move inside the MILPs as
+    subtree-search workers.  With [runners = 1] the
     [milp_options.workers] setting applies unchanged.  Verdicts never
     depend on [runners]: each query solves the same model that a
     standalone {!Verify.verify} call would (only solver scheduling
     differs).
 
     [budget_s] is a wall-clock budget for the whole campaign; each
-    solve's [time_limit_s] is capped by the remaining budget when it
-    starts ({!Dpv_linprog.Clock.carve}), and queries reaching the pool
-    after expiry are [Skipped].
+    unit's [time_limit_s] is capped by the remaining budget when it
+    starts ({!Dpv_linprog.Clock.carve}), and units reaching the pool
+    after expiry are skipped: a query none of whose units ran is
+    [Skipped] with [attempts = 0].
 
     [journal] appends every settled query to the given path (see
     {!Journal}); [resume] replays [Done] entries previously loaded with

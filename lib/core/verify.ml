@@ -66,14 +66,6 @@ let deadline_reason = "deadline exceeded"
 
 let concrete_tol = 1e-5
 
-(* Interval of a linear expression over an output box. *)
-let expr_bounds expr box =
-  let open Dpv_absint.Interval in
-  List.fold_left
-    (fun acc (c, i) -> add acc (scale c box.(i)))
-    (point expr.Dpv_spec.Linexpr.const)
-    (Dpv_spec.Linexpr.normalized_terms expr)
-
 let run_query ?(milp_options = default_milp_options) ?(absint = false)
     ?absint_seed ~characterizer_margin ~shared ~head ~psi ~conditional () =
   Trace.with_span "verify.query" @@ fun () ->
@@ -155,19 +147,12 @@ let m_discharged = Metrics.counter "bisect.discharged"
    restricted box a second time. *)
 let subbox_discharged ~suffix ~head ~psi ~characterizer_margin box =
   let sd = Absguide.root_propagation ~suffix ~head ~feature_box:box in
-  let output_box = Absguide.seed_output_box sd in
-  let logit_box = Absguide.seed_logit_box sd in
-  let discharged =
-    logit_box.Dpv_absint.Interval.hi < characterizer_margin
-    || List.exists
-         (fun (ineq : Risk.inequality) ->
-           let iv = expr_bounds ineq.Risk.expr output_box in
-           match ineq.Risk.rel with
-           | `Le -> iv.Dpv_absint.Interval.lo > ineq.Risk.bound
-           | `Ge -> iv.Dpv_absint.Interval.hi < ineq.Risk.bound)
-         psi.Risk.inequalities
-  in
-  if discharged then None else Some sd
+  if
+    Absguide.query_unreachable ~psi ~characterizer_margin
+      ~output_box:(Absguide.seed_output_box sd)
+      ~logit_box:(Absguide.seed_logit_box sd)
+  then None
+  else Some sd
 
 (* Split at the midpoint of the widest dimension; [None] when the box
    is degenerate (a point, or midpoint rounding cannot make progress). *)
@@ -381,21 +366,11 @@ let verify_incomplete ?(domain = Propagate.Deeppoly)
   let logit_box =
     (Propagate.output_bounds domain head ~input_box:feature_box).(0)
   in
-  let characterizer_mute =
-    logit_box.Dpv_absint.Interval.hi < characterizer_margin
-  in
-  let some_inequality_unreachable =
-    List.exists
-      (fun (ineq : Risk.inequality) ->
-        let iv = expr_bounds ineq.Risk.expr output_box in
-        match ineq.Risk.rel with
-        | `Le -> iv.Dpv_absint.Interval.lo > ineq.Risk.bound
-        | `Ge -> iv.Dpv_absint.Interval.hi < ineq.Risk.bound)
-      psi.Risk.inequalities
-  in
   let verdict =
-    if characterizer_mute then Safe { conditional }
-    else if some_inequality_unreachable then Safe { conditional }
+    if
+      Absguide.query_unreachable ~psi ~characterizer_margin ~output_box
+        ~logit_box
+    then Safe { conditional }
     else
       Unknown
         (Printf.sprintf

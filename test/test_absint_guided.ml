@@ -28,6 +28,7 @@ module Rng = Dpv_tensor.Rng
 module Risk = Dpv_spec.Risk
 module Verify = Dpv_core.Verify
 module Campaign = Dpv_core.Campaign
+module Journal = Dpv_core.Journal
 module Characterizer = Dpv_core.Characterizer
 module Metrics = Dpv_obs.Metrics
 
@@ -525,6 +526,119 @@ let test_campaign_bisect_matches_plain () =
   | Some n -> Alcotest.failf "bisect.subboxes counter stuck at %d" n
   | None -> Alcotest.fail "bisect.subboxes counter missing from metrics"
 
+let battery_queries () =
+  List.map
+    (fun (label, psi, bounds) ->
+      Campaign.query ~label ~characterizer ~psi ~bounds ())
+    (battery ())
+
+let run_bisected ?budget_s ?journal ?resume ?on_settled () =
+  Campaign.run ~runners:1 ~absint:true ~bisect:bisect2 ?budget_s ?journal
+    ?resume ?on_settled ~perception (battery_queries ())
+
+(* Sub-boxes a merged bisection result sent to the MILP. *)
+let subbox_solves (r : Verify.result) =
+  Scanf.sscanf r.Verify.encoding
+    "bisection: %d sub-boxes (%d discharged by propagation, %d to MILP)"
+    (fun _ _ solved -> solved)
+
+let test_campaign_bisect_skipped_attempts () =
+  (* Zero budget: plans still run, so queries whose plan discharges
+     everything settle Safe, and every query with survivors is Skipped
+     without a single solve attempt. *)
+  let report = run_bisected ~budget_s:0.0 () in
+  let skipped =
+    List.filter
+      (fun (qr : Campaign.query_report) ->
+        match qr.Campaign.outcome with Campaign.Skipped _ -> true | _ -> false)
+      report.Campaign.query_reports
+  in
+  Alcotest.(check bool) "some query has survivors to skip" true (skipped <> []);
+  List.iter
+    (fun (qr : Campaign.query_report) ->
+      Alcotest.(check int)
+        (qr.Campaign.query.Campaign.label ^ ": skipped query made no attempt")
+        0 qr.Campaign.attempts)
+    skipped
+
+let test_campaign_bisect_settles_at_last_subbox () =
+  (* Each query with sub-box solves reads the global solve counter as
+     it settles: a query streamed at its own last sub-box reads fewer
+     solves than the run ends with, one held back until the whole pool
+     finished reads them all. *)
+  let solves = Metrics.counter "milp.solves" in
+  let readings = ref [] in
+  let on_settled (qr : Campaign.query_report) =
+    match qr.Campaign.outcome with
+    | Campaign.Done r when subbox_solves r > 0 ->
+        readings := Metrics.counter_value solves :: !readings
+    | _ -> ()
+  in
+  let report = run_bisected ~on_settled () in
+  let final = Metrics.counter_value solves in
+  Alcotest.(check bool) "clean run" false report.Campaign.degraded;
+  match List.rev !readings with
+  | first :: _ :: _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "first settle (%d solves) precedes the last solve (%d)"
+           first final)
+        true (first < final)
+  | _ -> Alcotest.fail "expected at least two queries with sub-box solves"
+
+let test_campaign_bisect_crash_and_resume () =
+  let verdict (qr : Campaign.query_report) =
+    match qr.Campaign.outcome with
+    | Campaign.Done r -> verdict_word r.Verify.verdict
+    | Campaign.Crashed _ -> "crashed"
+    | Campaign.Skipped _ -> "skipped"
+  in
+  let clean = List.map verdict (run_bisected ()).Campaign.query_reports in
+  let path = Filename.temp_file "dpv_test_bisect" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (* One runner takes the units last-first, so the first task is a
+     sub-box of the last query with survivors: "neg-oct-deep", which
+     has no witness to decide it despite the crash. *)
+  let crashed =
+    with_faults [ (Faults.Task_crash, 1) ] (fun () ->
+        run_bisected ~journal:path ())
+  in
+  Alcotest.(check int) "one crashed query" 1 crashed.Campaign.crashed;
+  List.iter2
+    (fun (qr : Campaign.query_report) clean_verdict ->
+      let label = qr.Campaign.query.Campaign.label in
+      match qr.Campaign.outcome with
+      | Campaign.Crashed reason ->
+          Alcotest.(check bool) (label ^ ": crash names its sub-box") true
+            (String.starts_with ~prefix:"sub-box crashed: " reason);
+          Alcotest.(check string) (label ^ ": crashed query has no witness")
+            "safe" clean_verdict
+      | _ ->
+          Alcotest.(check string) (label ^ ": sibling keeps its verdict")
+            clean_verdict (verdict qr))
+    crashed.Campaign.query_reports clean;
+  let entries =
+    match Journal.load ~path with
+    | Ok entries -> entries
+    | Error e -> Alcotest.failf "journal unreadable: %s" e
+  in
+  Alcotest.(check int) "one journal entry per query"
+    (List.length clean) (List.length entries);
+  let resumed = run_bisected ~resume:entries () in
+  Alcotest.(check int) "every settled query replays"
+    (List.length clean - 1) resumed.Campaign.resumed;
+  List.iter2
+    (fun (before : Campaign.query_report) (after : Campaign.query_report) ->
+      let label = after.Campaign.query.Campaign.label in
+      let was_crashed =
+        match before.Campaign.outcome with Campaign.Crashed _ -> true | _ -> false
+      in
+      Alcotest.(check bool) (label ^ ": only the crashed query re-solves")
+        (not was_crashed) after.Campaign.from_journal)
+    crashed.Campaign.query_reports resumed.Campaign.query_reports;
+  Alcotest.(check (list string)) "resumed verdicts are the clean ones" clean
+    (List.map verdict resumed.Campaign.query_reports)
+
 (* ---- incremental guide: scratch ≡ incremental, stale fault, seeds -- *)
 
 module Absguide = Dpv_core.Absguide
@@ -957,6 +1071,12 @@ let tests =
       test_bisected_unsafe_witness_revalidates;
     Alcotest.test_case "campaign with bisect matches plain campaign" `Quick
       test_campaign_bisect_matches_plain;
+    Alcotest.test_case "bisected skipped query reports zero attempts" `Quick
+      test_campaign_bisect_skipped_attempts;
+    Alcotest.test_case "bisected query settles at its last sub-box" `Quick
+      test_campaign_bisect_settles_at_last_subbox;
+    Alcotest.test_case "bisected crash isolation and resume" `Quick
+      test_campaign_bisect_crash_and_resume;
     Alcotest.test_case "incremental ≡ scratch (sequential)" `Quick
       test_incremental_matches_scratch_sequential;
     Alcotest.test_case "incremental ≡ scratch (parallel)" `Quick
