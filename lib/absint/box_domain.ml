@@ -20,6 +20,17 @@ let contains box x =
   Array.iteri (fun i iv -> if not (Interval.contains iv x.(i)) then ok := false) box;
   !ok
 
+let same_box (a : t) (b : t) =
+  let rec same_from i =
+    i = Array.length a
+    || (let x = a.(i) and y = b.(i) in
+        Int64.(
+          bits_of_float x.Interval.lo = bits_of_float y.Interval.lo
+          && bits_of_float x.Interval.hi = bits_of_float y.Interval.hi))
+       && same_from (i + 1)
+  in
+  Array.length a = Array.length b && same_from 0
+
 let widths = Array.map Interval.width
 let mean_width box = Dpv_tensor.Stats.mean (widths box)
 

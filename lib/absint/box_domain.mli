@@ -7,6 +7,12 @@ val of_points : Dpv_tensor.Vec.t array -> t
 (** Tightest box containing the given non-empty point set. *)
 
 val contains : t -> Dpv_tensor.Vec.t -> bool
+
+val same_box : t -> t -> bool
+(** Bit-for-bit equality: the same dimension and the same bits at every
+    bound.  A box equals its copy and a NaN bound equals itself, but
+    [-0.] and [0.] differ. *)
+
 val mean_width : t -> float
 val sample : Dpv_tensor.Rng.t -> t -> Dpv_tensor.Vec.t
 (** Uniform sample; all sides must be finite. *)

@@ -62,24 +62,6 @@ let query_unreachable ~psi ~characterizer_margin ~output_box ~logit_box =
          | `Ge -> iv.Interval.hi < ineq.Risk.bound)
        psi.Risk.inequalities
 
-let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let same_box (a : Box_domain.t) (b : Box_domain.t) =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i (iv : Interval.t) ->
-           let jv : Interval.t = b.(i) in
-           if
-             not
-               (same_float iv.Interval.lo jv.Interval.lo
-               && same_float iv.Interval.hi jv.Interval.hi)
-           then ok := false)
-         a;
-       !ok
-     end
-
 (* ---------------- immutable reference propagation ----------------
 
    The from-scratch semantics the incremental engine must reproduce,
@@ -450,7 +432,7 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
      box (bit-for-bit); anything else is silently a non-seed. *)
   let seed =
     match seed with
-    | Some sd when same_box sd.sd_box feature_box -> Some sd
+    | Some sd when Box_domain.same_box sd.sd_box feature_box -> Some sd
     | _ -> None
   in
   let splan, hplan =
@@ -506,7 +488,9 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
     | Some sbox ->
         if Resumable.last_empty inst.i_suffix.ns_st then true
         else if
-          not (same_box sbox (Resumable.output_box inst.i_suffix.ns_st))
+          not
+            (Box_domain.same_box sbox
+               (Resumable.output_box inst.i_suffix.ns_st))
         then true
         else (
           match
@@ -515,7 +499,9 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
           | None -> not (Resumable.last_empty inst.i_head.ns_st)
           | Some hbox ->
               Resumable.last_empty inst.i_head.ns_st
-              || not (same_box hbox (Resumable.output_box inst.i_head.ns_st)))
+              || not
+                   (Box_domain.same_box hbox
+                      (Resumable.output_box inst.i_head.ns_st)))
   in
   let force_scratch inst =
     Resumable.invalidate_from inst.i_suffix.ns_st 1;

@@ -8,9 +8,10 @@
     re-encodes the suffix big-M model, although those depend only on the
     [(cut, bounds)] pair.  A campaign amortizes them: each distinct
     [(cut, bounds)] key is resolved and encoded exactly once (the
-    {!Encode.shared} prefix is persistent, so completing it per query is
-    allocation-cheap), and the per-query MILP solves then fan out on the
-    {!Dpv_linprog.Pool} work-stealing domains.
+    {!Encode.shared} prefix is persistent, and it memoizes each head's
+    rows and each bisection sub-box, so completing it per query adds
+    only the psi and phi rows), and the per-query MILP solves then fan
+    out on the {!Dpv_linprog.Pool} work-stealing domains.
 
     {b Failure semantics.}  A campaign is a batch job: one misbehaving
     query must not take the other N-1 answers down with it.
@@ -110,7 +111,9 @@ type cache
     run builds and discards its own; a long-lived caller (the serve
     daemon) creates one with {!create_cache} and passes it to every
     run, so a [(cut, bounds)] prefix built for one job is served warm
-    to every later job.  Thread-safe: lookups and inserts are
+    to every later job, together with the head completions and
+    sub-box restrictions the prefix memoized for earlier queries
+    (see {!Encode.shared}).  Thread-safe: lookups and inserts are
     mutex-protected. *)
 
 val create_cache : unit -> cache

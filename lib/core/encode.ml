@@ -223,7 +223,12 @@ let risk_constraints model ~psi ~output_vars =
    (suffix, feature_box, extra_faces) — not on the characterizer head or
    psi.  [Lp.t] is persistent, so this prefix can be built once and
    completed into many per-query models without copying: a campaign
-   caches one [shared] per distinct (cut, bounds) key. *)
+   caches one [shared] per distinct (cut, bounds) key.
+
+   Two memos under [lock] make a repeated completion or restriction
+   cost a lookup: [heads] keeps, per head, the prefix with the head's
+   rows added, and [restricted] keeps the prefix built over each
+   sub-box.  Both live as long as the prefix. *)
 type shared = {
   suffix : Network.t;
   feature_box : Box_domain.t;
@@ -234,7 +239,32 @@ type shared = {
   suffix_relu_vars : (int * Lp.var option array) list;
   suffix_binaries : int;
   suffix_fixed_relus : int;
+  lock : Mutex.t;
+  heads : (Network.t * head_prefix) list ref;
+  restricted : (Box_domain.t * shared) list ref;
 }
+
+(* [base_model] after the head's rows: what [complete] adds psi and
+   phi to. *)
+and head_prefix = {
+  head_model : Lp.t;
+  head_logit : Lp.var;
+  head_relus : (int * Lp.var option array) list;
+  head_binaries : int;
+  head_fixed_relus : int;
+}
+
+(* The value [cell] holds for [key]; on a miss, [build] runs and its
+   value is recorded, all under [lock].  A build that raises records
+   nothing. *)
+let memo lock cell ~same key build =
+  Mutex.protect lock (fun () ->
+      match List.find_opt (fun (k, _) -> same k key) !cell with
+      | Some (_, v) -> v
+      | None ->
+          let v = build () in
+          cell := (key, v) :: !cell;
+          v)
 
 let build_shared ~suffix ~feature_box ?(extra_faces = []) () =
   if Array.length feature_box <> Network.input_dim suffix then
@@ -270,6 +300,9 @@ let build_shared ~suffix ~feature_box ?(extra_faces = []) () =
     suffix_relu_vars = relu_vars;
     suffix_binaries = b1;
     suffix_fixed_relus = f1;
+    lock = Mutex.create ();
+    heads = ref [];
+    restricted = ref [];
   }
 
 let complete shared ~head ?(characterizer_margin = 0.0) ?psi () =
@@ -277,30 +310,44 @@ let complete shared ~head ?(characterizer_margin = 0.0) ?psi () =
     invalid_arg "Encode.complete: suffix/head input dimensions differ";
   if Network.output_dim head <> 1 then
     invalid_arg "Encode.complete: characterizer head must output a single logit";
-  let m, head_out, head_relu_vars, b2, f2 =
-    encode_network shared.base_model ~net:head
-      ~input_vars:shared.shared_feature_vars ~input_box:shared.feature_box
-      ~name:"h"
+  (* [compare] is total: the same head hits at once, and a head with a
+     NaN weight still matches itself. *)
+  let hp =
+    memo shared.lock shared.heads ~same:(fun a b -> compare a b = 0) head
+      (fun () ->
+        let m, head_out, head_relus, b2, f2 =
+          encode_network shared.base_model ~net:head
+            ~input_vars:shared.shared_feature_vars
+            ~input_box:shared.feature_box ~name:"h"
+        in
+        {
+          head_model = m;
+          head_logit = head_out.(0);
+          head_relus;
+          head_binaries = b2;
+          head_fixed_relus = f2;
+        })
   in
-  let logit_var = head_out.(0) in
   let m =
     match psi with
-    | Some psi -> risk_constraints m ~psi ~output_vars:shared.shared_output_vars
-    | None -> m
+    | Some psi ->
+        risk_constraints hp.head_model ~psi
+          ~output_vars:shared.shared_output_vars
+    | None -> hp.head_model
   in
   let m =
     Lp.add_constraint ~name:"phi_holds" m
-      [ (1.0, logit_var) ]
+      [ (1.0, hp.head_logit) ]
       Lp.Ge characterizer_margin
   in
   {
     model = m;
     feature_vars = shared.shared_feature_vars;
     output_vars = shared.shared_output_vars;
-    logit_var;
-    num_binaries = shared.suffix_binaries + b2;
-    num_fixed_relus = shared.suffix_fixed_relus + f2;
-    head_relu_vars;
+    logit_var = hp.head_logit;
+    num_binaries = shared.suffix_binaries + hp.head_binaries;
+    num_fixed_relus = shared.suffix_fixed_relus + hp.head_fixed_relus;
+    head_relu_vars = hp.head_relus;
   }
 
 let build ~suffix ~head ~feature_box ?(extra_faces = [])
@@ -318,7 +365,10 @@ let suffix_relu_vars_of_shared shared = shared.suffix_relu_vars
 let restrict_shared shared ~feature_box =
   if Array.length feature_box <> Array.length shared.feature_box then
     invalid_arg "Encode.restrict_shared: feature box dimension mismatch";
-  build_shared ~suffix:shared.suffix ~feature_box ~extra_faces:shared.faces ()
+  memo shared.lock shared.restricted ~same:Box_domain.same_box feature_box
+    (fun () ->
+      build_shared ~suffix:shared.suffix ~feature_box
+        ~extra_faces:shared.faces ())
 
 let set_output_objective t ~sense expr =
   let terms =

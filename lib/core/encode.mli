@@ -33,7 +33,22 @@ type shared
     [(cut, bounds)] pair alone.  Because {!Dpv_linprog.Lp.t} is a
     persistent structure, one [shared] value can be {!complete}d into
     any number of per-query models (different heads, margins, psi)
-    without rebuilding or copying the suffix encoding. *)
+    without rebuilding or copying the suffix encoding.
+
+    A prefix pays for each head and each sub-box once.  It keeps two
+    memos, guarded by its own lock and kept as long as the prefix
+    lives:
+    - {!complete} remembers, per head, the prefix with the head's rows
+      added.  Heads match under [compare]: the same value, or a
+      structurally equal one (a NaN weight matches itself).  A later
+      completion adds only the psi rows and the phi row.
+    - {!restrict_shared} remembers the prefix it built over each
+      sub-box.  Boxes match bit for bit ({!Dpv_absint.Box_domain.same_box}).
+
+    A memo hit returns the model a fresh build would, row for row, so
+    the search over it is the same.  A build that raises records
+    nothing.  The memos keep the head and the box they were given, so
+    neither may be mutated after its first use on a prefix. *)
 
 val suffix_of_shared : shared -> Dpv_nn.Network.t
 (** The suffix network captured at {!build_shared} time — callers replay
@@ -48,9 +63,11 @@ val suffix_relu_vars_of_shared :
     (1-based layer index; [None] per bound-stable neuron). *)
 
 val restrict_shared : shared -> feature_box:Dpv_absint.Box_domain.t -> shared
-(** Rebuild the prefix over a sub-box of the original feature region
-    (same suffix, same octagon faces) — the unit of work under input
-    bisection.  The sub-box must have the original dimension. *)
+(** The prefix over a sub-box of the original feature region (same
+    suffix, same octagon faces) — the unit of work under input
+    bisection.  Built on the first request for a box; a later request
+    for the same bits returns that prefix, with its own memos.  The
+    sub-box must have the original dimension. *)
 
 val build_shared :
   suffix:Dpv_nn.Network.t ->
@@ -72,7 +89,10 @@ val complete :
 (** Finish a query model on top of a prefix: encode the characterizer
     [head] on the shared feature variables, add the [psi] output
     constraints (omitting [psi] leaves the output unconstrained) and
-    the "characterizer says phi" constraint (logit >= margin). *)
+    the "characterizer says phi" constraint (logit >= margin).  The
+    head's rows are encoded on its first completion on this prefix and
+    reused after that (see {!shared}); [head] must not be mutated
+    after it. *)
 
 val build :
   suffix:Dpv_nn.Network.t ->

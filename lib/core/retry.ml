@@ -43,7 +43,8 @@ let solve ~options ~deadline f =
   (* Rung 2 — deadline.  [Unknown "deadline exceeded"] is a scheduling
      artifact, not a fact about the query; if the surrounding campaign
      deadline still has budget, spend it on one more attempt whose
-     per-query limit is re-carved from what actually remains.  With no
+     per-query limit is re-carved from what actually remains, as rung 1
+     carves it: never more than the query's own limit.  With no
      campaign deadline there is nothing to re-carve — the same
      per-query limit would just expire again — so no retry.  (The
      campaign solve path does no OBBT tightening, so there is no
@@ -59,7 +60,7 @@ let solve ~options ~deadline f =
         {
           options with
           Milp.lp_dense = telemetry.dense_retry;
-          time_limit_s = Clock.remaining_s deadline;
+          time_limit_s = Clock.carve deadline options.Milp.time_limit_s;
         }
       in
       ( attempt ~rung:"deadline" f opts,

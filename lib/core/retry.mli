@@ -37,6 +37,7 @@ val solve :
   Verify.result * telemetry
 (** [solve ~options ~deadline f] runs [f options] and climbs the ladder
     above on failure.  [deadline] is the {e campaign-wide} deadline the
-    per-query [options.time_limit_s] was carved from; retries re-carve
-    against it so a retried query can never exceed what the campaign
-    has left.  Exceptions from the final attempt propagate. *)
+    per-query [options.time_limit_s] was carved from; both rungs
+    re-carve that limit against it, so a retried query can exceed
+    neither its own limit nor what the campaign has left.  Exceptions
+    from the final attempt propagate. *)

@@ -160,6 +160,17 @@ let relax_integrality m =
 let constraints m =
   List.rev_map (fun c -> (c.cname, c.terms, c.rel, c.rhs)) m.constrs
 
+let iter_rows_rev f m =
+  let rec go i = function
+    | [] -> ()
+    | c :: rest ->
+        f i c.terms c.rel c.rhs;
+        go (i - 1) rest
+  in
+  go (m.nconstrs - 1) m.constrs
+
+let iter_var_bounds f m = Imap.iter (fun v info -> f v info.lo info.up) m.vars
+
 let objective m = (m.sense, m.obj)
 
 let eval_term_list terms x =

@@ -63,6 +63,15 @@ val relax_integrality : t -> t
 val constraints : t -> (string * term list * relation * float) list
 (** In insertion order. *)
 
+val iter_rows_rev : (int -> term list -> relation -> float -> unit) -> t -> unit
+(** [iter_rows_rev f m] calls [f i terms rel rhs] on every constraint,
+    the last inserted first: [i] runs from [num_constraints m - 1] down
+    to 0.  The terms are those {!constraints} lists. *)
+
+val iter_var_bounds : (var -> float option -> float option -> unit) -> t -> unit
+(** [iter_var_bounds f m] calls [f v lo up] on every variable in
+    ascending order, with the bounds {!var_bounds} returns. *)
+
 val objective : t -> objective_sense * term list
 
 val eval_term_list : term list -> float array -> float

@@ -545,37 +545,54 @@ let spare_lu : lu option Atomic.t Domain.DLS.key = new_slot ()
 (* What a released handle holds: storage for no rows at all. *)
 let released_lu = new_lu 0
 
+(* Nonzero terms of one row, per structural column. *)
+let rec count_terms count = function
+  | [] -> ()
+  | (c, v) :: rest ->
+      if c <> 0.0 then count.(v) <- count.(v) + 1;
+      count_terms count rest
+
+(* Place row [i]'s nonzero terms at the end of each column's unfilled
+   part; [fill.(v)] is where column [v]'s unfilled part ends. *)
+let rec place_terms fill col_rows col_coefs i = function
+  | [] -> ()
+  | (c, v) :: rest ->
+      if c <> 0.0 then begin
+        let k = fill.(v) - 1 in
+        fill.(v) <- k;
+        col_rows.(v).(k) <- i;
+        col_coefs.(v).(k) <- c
+      end;
+      place_terms fill col_rows col_coefs i rest
+
 let create ?(tol = 1e-9) model =
   let n = Lp.num_vars model in
-  let cons = Array.of_list (Lp.constraints model) in
-  let m = Array.length cons in
+  let m = Lp.num_constraints model in
   let ncols = n + m in
-  let entries = Array.make ncols [] in
-  Array.iteri
-    (fun i (_, terms, _, _) ->
-      List.iter
-        (fun (c, v) -> if c <> 0.0 then entries.(v) <- (i, c) :: entries.(v))
-        terms)
-    cons;
-  for i = 0 to m - 1 do
-    entries.(n + i) <- [ (i, 1.0) ]
-  done;
+  (* The sparse columns in two passes over the rows, with no cell per
+     entry: count each column's entries, then fill every column from
+     its end while the rows come last first, so its rows ascend. *)
+  let fill = Array.make n 0 in
+  Lp.iter_rows_rev (fun _ terms _ _ -> count_terms fill terms) model;
   let col_rows =
-    Array.map (fun l -> Array.of_list (List.rev_map fst l)) entries
+    Array.init ncols (fun j ->
+        if j < n then Array.make fill.(j) 0 else [| j - n |])
   in
   let col_coefs =
-    Array.map (fun l -> Array.of_list (List.rev_map snd l)) entries
+    Array.init ncols (fun j ->
+        if j < n then Array.make fill.(j) 0.0 else [| 1.0 |])
   in
   let lo = Array.make ncols neg_infinity in
   let up = Array.make ncols infinity in
-  for v = 0 to n - 1 do
-    let l, u = Lp.var_bounds model v in
-    lo.(v) <- (match l with None -> neg_infinity | Some x -> x);
-    up.(v) <- (match u with None -> infinity | Some x -> x)
-  done;
+  Lp.iter_var_bounds
+    (fun v l u ->
+      lo.(v) <- (match l with None -> neg_infinity | Some x -> x);
+      up.(v) <- (match u with None -> infinity | Some x -> x))
+    model;
   let rhs = Array.make m 0.0 in
-  Array.iteri
-    (fun i (_, _, rel, b) ->
+  Lp.iter_rows_rev
+    (fun i terms rel b ->
+      place_terms fill col_rows col_coefs i terms;
       rhs.(i) <- b;
       match rel with
       | Lp.Le -> lo.(n + i) <- 0.0
@@ -583,7 +600,7 @@ let create ?(tol = 1e-9) model =
       | Lp.Eq ->
           lo.(n + i) <- 0.0;
           up.(n + i) <- 0.0)
-    cons;
+    model;
   let obj_sense, obj_terms = Lp.objective model in
   let cost = Array.make ncols 0.0 in
   let sign = if obj_sense = Lp.Maximize then -1.0 else 1.0 in

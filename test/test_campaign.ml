@@ -9,6 +9,7 @@
 module Campaign = Dpv_core.Campaign
 module Characterizer = Dpv_core.Characterizer
 module Verify = Dpv_core.Verify
+module Milp = Dpv_linprog.Milp
 module Json = Dpv_core.Json
 module Network = Dpv_nn.Network
 module Layer = Dpv_nn.Layer
@@ -75,6 +76,10 @@ let done_result (qr : Campaign.query_report) =
       Alcotest.failf "%s: unexpectedly skipped: %s"
         qr.Campaign.query.Campaign.label reason
 
+let work_counts (r : Verify.result) =
+  let st = r.Verify.milp_stats in
+  [ st.Milp.nodes_explored; st.Milp.lp_solved; st.Milp.pivots ]
+
 let test_campaign_matches_individual_verify () =
   let qs = queries () in
   let report = Campaign.run ~runners:2 ~perception qs in
@@ -91,10 +96,30 @@ let test_campaign_matches_individual_verify () =
       Alcotest.(check string)
         (q.Campaign.label ^ ": verdict matches standalone verify")
         (Campaign.verdict_word standalone.Verify.verdict)
-        (Campaign.verdict_word (done_result qr).Verify.verdict))
+        (Campaign.verdict_word (done_result qr).Verify.verdict);
+      Alcotest.(check (list int))
+        (q.Campaign.label ^ ": nodes, LPs, pivots match standalone verify")
+        (work_counts standalone)
+        (work_counts (done_result qr)))
     qs report.Campaign.query_reports;
   Alcotest.(check bool) "clean run is not degraded" false
     report.Campaign.degraded
+
+(* A second run on a kept cache completes every query from the memoized
+   head rows of the cached prefixes, and must search the same trees. *)
+let test_campaign_kept_cache_reproduces () =
+  let cache = Campaign.create_cache () in
+  let outcomes () =
+    List.map
+      (fun (qr : Campaign.query_report) ->
+        let r = done_result qr in
+        (Campaign.verdict_word r.Verify.verdict, work_counts r))
+      (Campaign.run ~runners:2 ~cache ~perception (queries ()))
+        .Campaign.query_reports
+  in
+  let first = outcomes () in
+  Alcotest.(check (list (pair string (list int))))
+    "second run: verdicts, nodes, LPs, pivots" first (outcomes ())
 
 let test_campaign_cache_accounting () =
   let report = Campaign.run ~runners:1 ~perception (queries ()) in
@@ -436,6 +461,8 @@ let tests =
     Alcotest.test_case "campaign matches individual verify" `Quick
       test_campaign_matches_individual_verify;
     Alcotest.test_case "cache accounting" `Quick test_campaign_cache_accounting;
+    Alcotest.test_case "kept cache reproduces a run" `Quick
+      test_campaign_kept_cache_reproduces;
     Alcotest.test_case "zero budget skips and degrades" `Quick
       test_campaign_zero_budget_skips_and_degrades;
     Alcotest.test_case "json report" `Quick test_campaign_json_report;

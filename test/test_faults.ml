@@ -17,6 +17,9 @@
 module Faults = Dpv_linprog.Faults
 module Lp = Dpv_linprog.Lp
 module Simplex = Dpv_linprog.Simplex
+module Milp = Dpv_linprog.Milp
+module Clock = Dpv_linprog.Clock
+module Retry = Dpv_core.Retry
 module Campaign = Dpv_core.Campaign
 module Characterizer = Dpv_core.Characterizer
 module Journal = Dpv_core.Journal
@@ -312,6 +315,38 @@ let test_campaign_deadline_retry () =
        (fun (qr : Campaign.query_report) -> qr.Campaign.deadline_retry)
        report.Campaign.query_reports)
 
+(* The deadline rung re-carves the query's own limit, not the whole
+   campaign remainder: a retried unit stays within its time slice. *)
+let test_deadline_retry_keeps_query_limit () =
+  let limits = ref [] in
+  let solve (opts : Milp.options) =
+    limits := opts.Milp.time_limit_s :: !limits;
+    {
+      Verify.verdict =
+        (if List.length !limits = 1 then Verify.Unknown Verify.deadline_reason
+         else Verify.Safe { conditional = false });
+      milp_stats = Milp.empty_stats;
+      encoding = "";
+      num_binaries = 0;
+      wall_time_s = 0.0;
+    }
+  in
+  let _, t =
+    Retry.solve
+      ~options:{ Verify.default_milp_options with Milp.time_limit_s = Some 0.5 }
+      ~deadline:(Clock.deadline_after (Some 60.0))
+      solve
+  in
+  Alcotest.(check bool) "took the deadline rung" true t.Retry.deadline_retry;
+  match List.rev !limits with
+  | [ _; Some retry ] when retry <= 0.5 -> ()
+  | [ _; retry ] ->
+      Alcotest.failf "the retry got %s, not at most the query's 0.5 s"
+        (match retry with
+        | Some s -> Printf.sprintf "%g s" s
+        | None -> "no limit")
+  | l -> Alcotest.failf "expected two attempts, got %d" (List.length l)
+
 (* A query task that dies must yield one [Crashed] record while every
    other query still gets its clean-run verdict. *)
 let test_campaign_crash_isolation () =
@@ -444,6 +479,8 @@ let tests =
     Alcotest.test_case "campaign dense retry" `Quick test_campaign_dense_retry;
     Alcotest.test_case "campaign deadline retry" `Quick
       test_campaign_deadline_retry;
+    Alcotest.test_case "deadline retry keeps the query's limit" `Quick
+      test_deadline_retry_keeps_query_limit;
     Alcotest.test_case "campaign crash isolation" `Quick
       test_campaign_crash_isolation;
     Alcotest.test_case "campaign phase-1 crash isolation" `Quick

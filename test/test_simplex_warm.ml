@@ -637,3 +637,155 @@ let tests =
       Alcotest.test_case "factor storage allocation" `Quick
         test_factor_storage_allocation;
     ]
+
+(* ---- Memoized completions: a prefix remembers each head it completed
+   and each sub-box it was restricted to, so a repeated completion adds
+   only the psi and phi rows to the remembered head rows.  A memo hit
+   must give the very model a fresh build gives, row for row and bit
+   for bit, and the same search over it. ---- *)
+
+let model_bits model =
+  let bits = Int64.bits_of_float in
+  ( List.map
+      (fun (name, terms, rel, rhs) ->
+        (name, List.map (fun (c, v) -> (bits c, v)) terms, rel, bits rhs))
+      (Lp.constraints model),
+    List.init (Lp.num_vars model) (fun v ->
+        let lo, up = Lp.var_bounds model v in
+        (Option.map bits lo, Option.map bits up)),
+    Lp.integer_vars model )
+
+let encoding_vars (e : Encode.t) =
+  ( e.Encode.feature_vars,
+    e.Encode.output_vars,
+    e.Encode.logit_var,
+    e.Encode.num_binaries,
+    e.Encode.num_fixed_relus,
+    e.Encode.head_relu_vars )
+
+let search (e : Encode.t) =
+  Milp_par.solve_with_stats
+    ~options:{ Milp.default_options with Milp.find_first = true }
+    e.Encode.model
+
+let check_same_encoding ctx ~fresh got =
+  Alcotest.(check bool)
+    (ctx ^ ": rows, bounds and integer vars") true
+    (model_bits fresh.Encode.model = model_bits got.Encode.model);
+  Alcotest.(check bool)
+    (ctx ^ ": encoding vars") true
+    (encoding_vars fresh = encoding_vars got);
+  let want, want_st = search fresh and result, st = search got in
+  Alcotest.(check bool) (ctx ^ ": same result") true (want = result);
+  Alcotest.(check (pair int int))
+    (ctx ^ ": nodes, pivots")
+    (want_st.Milp.nodes_explored, want_st.Milp.pivots)
+    (st.Milp.nodes_explored, st.Milp.pivots)
+
+(* A structurally equal head that shares no storage with the original. *)
+let copy_net (net : Dpv_nn.Network.t) : Dpv_nn.Network.t =
+  Marshal.from_string (Marshal.to_string net []) 0
+
+let golden_sub_box feature_box =
+  Array.mapi
+    (fun i (iv : Interval.t) ->
+      if i = 0 then Interval.make ~lo:iv.Interval.lo ~hi:0.0 else iv)
+    feature_box
+
+let test_memo_hits_match_fresh_builds () =
+  let suffix, head, feature_box = golden_nets 1305 in
+  let psi_a = Risk.make ~name:"a" [ Risk.output_ge 0 2.0 ] in
+  let psi_b = Risk.make ~name:"b" [ Risk.output_le 1 (-1.0) ] in
+  let shared = Encode.build_shared ~suffix ~feature_box () in
+  ignore (Encode.complete shared ~head ~psi:psi_a ());
+  List.iter
+    (fun (ctx, head, psi, characterizer_margin) ->
+      check_same_encoding ctx
+        ~fresh:
+          (Encode.build ~suffix ~head ~feature_box ~characterizer_margin ~psi
+             ())
+        (Encode.complete shared ~head ~characterizer_margin ~psi ()))
+    [
+      ("another psi", head, psi_b, 0.0);
+      ("another margin", head, psi_a, 0.5);
+      ("a copy of the head", copy_net head, psi_a, 0.0);
+    ];
+  let sub = golden_sub_box feature_box in
+  ignore
+    (Encode.complete (Encode.restrict_shared shared ~feature_box:sub) ~head
+       ~psi:psi_a ());
+  check_same_encoding "a copy of the sub-box"
+    ~fresh:(Encode.build ~suffix ~head ~feature_box:sub ~psi:psi_a ())
+    (Encode.complete
+       (Encode.restrict_shared shared ~feature_box:(Array.copy sub))
+       ~head ~psi:psi_a ())
+
+let test_memo_concurrent_completion () =
+  let suffix, head, feature_box = golden_nets 1305 in
+  let psi = Risk.make ~name:"golden" [ Risk.output_ge 0 2.0 ] in
+  let shared = Encode.build_shared ~suffix ~feature_box () in
+  let ready = Atomic.make 0 in
+  let complete () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Encode.complete shared ~head ~psi ()
+  in
+  let a = Domain.spawn complete and b = Domain.spawn complete in
+  let a = Domain.join a and b = Domain.join b in
+  let fresh = Encode.build ~suffix ~head ~feature_box ~psi () in
+  check_same_encoding "first domain" ~fresh a;
+  check_same_encoding "second domain" ~fresh b
+
+(* ---- What a memo hit and a handle cost: words allocated, minor plus
+   those allocated directly in the major heap, on the golden 101-row
+   encoding.  A completion that misses its head re-encodes it (~6,800
+   words), a restriction that misses its sub-box re-encodes the suffix
+   (~32,600), and a column build through per-entry lists allocates
+   ~10,000 more than one straight from the rows. ---- *)
+
+let words_allocated f =
+  let direct () =
+    let st = Gc.quick_stat () in
+    st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let minor = Gc.minor_words () and major = direct () in
+  f ();
+  Gc.minor_words () -. minor +. (direct () -. major)
+
+let test_memo_allocation () =
+  let suffix, head, feature_box = golden_nets 1305 in
+  let psi = Risk.make ~name:"golden" [ Risk.output_ge 0 2.0 ] in
+  let shared = Encode.build_shared ~suffix ~feature_box () in
+  let e = Encode.complete shared ~head ~psi () in
+  Alcotest.(check int) "rows" 101 (Lp.num_constraints e.Encode.model);
+  let head_copy = copy_net head in
+  let sub = golden_sub_box feature_box in
+  ignore (Encode.restrict_shared shared ~feature_box:sub);
+  let sub_copy = Array.copy sub in
+  Simplex.release (Simplex.create e.Encode.model);
+  let cap what limit words =
+    if words > limit then
+      Alcotest.failf "%s allocated %.0f words (at most %.0f)" what words limit
+  in
+  cap "a completion on a memo hit" 1000.0
+    (words_allocated (fun () ->
+         ignore (Encode.complete shared ~head:head_copy ~psi ())));
+  cap "a restriction on a memo hit" 200.0
+    (words_allocated (fun () ->
+         ignore (Encode.restrict_shared shared ~feature_box:sub_copy)));
+  cap "a handle's create and release" 6500.0
+    (words_allocated (fun () ->
+         Simplex.release (Simplex.create e.Encode.model)))
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "memo hits match fresh builds" `Quick
+        test_memo_hits_match_fresh_builds;
+      Alcotest.test_case "memo: concurrent completion" `Quick
+        test_memo_concurrent_completion;
+      Alcotest.test_case "memo and column-build allocation" `Quick
+        test_memo_allocation;
+    ]
