@@ -45,17 +45,21 @@ let encode_dense model ~name ~weights ~bias ~in_vars ~out_bounds =
         v)
   in
   for i = 0 to rows - 1 do
-    let terms =
-      (1.0, out_vars.(i))
-      :: List.filter_map
-           (fun j ->
-             let w = Mat.get weights i j in
-             if w = 0.0 then None else Some (-.w, in_vars.(j)))
-           (List.init (Mat.cols weights) (fun j -> j))
+    let inputs =
+      List.filter_map
+        (fun j ->
+          let w = Mat.get weights i j in
+          if w = 0.0 then None else Some (w, in_vars.(j)))
+        (List.init (Mat.cols weights) (fun j -> j))
     in
-    model :=
+    let terms =
+      (1.0, out_vars.(i)) :: List.map (fun (w, v) -> (-.w, v)) inputs
+    in
+    let m =
       Lp.add_constraint ~name:(Printf.sprintf "%s_eq%d" name i) !model terms
         Lp.Eq bias.(i)
+    in
+    model := Lp.define m out_vars.(i) (Lp.Affine (inputs, bias.(i)))
   done;
   (!model, out_vars)
 
@@ -72,10 +76,14 @@ let encode_batch_norm model ~name ~scale ~shift ~in_vars ~out_bounds =
         v)
   in
   for i = 0 to d - 1 do
-    model :=
+    let m =
       Lp.add_constraint ~name:(Printf.sprintf "%s_eq%d" name i) !model
         [ (1.0, out_vars.(i)); (-.scale.(i), in_vars.(i)) ]
         Lp.Eq shift.(i)
+    in
+    model :=
+      Lp.define m out_vars.(i)
+        (Lp.Affine ([ (scale.(i), in_vars.(i)) ], shift.(i)))
   done;
   (!model, out_vars)
 
@@ -142,7 +150,7 @@ let encode_relu model ~name ~in_vars ~in_bounds =
               [ (1.0, y); (-.h0, delta) ]
               Lp.Le 0.0
           in
-          model := m;
+          model := Lp.define m y (Lp.Relu { pre = x; phase = delta });
           y
         end)
   in

@@ -9,6 +9,19 @@
     phase variable, with the per-neuron interval bounds — propagated
     from [S] with the box domain — serving as big-M constants.
 
+    The model also records how each network variable follows from the
+    ones before it ({!Dpv_linprog.Lp.define}), next to its rows: one
+    [Affine] definition per Dense and BatchNorm output, and one [Relu]
+    definition per crossing ReLU (its output and phase binary).  The
+    feature variables and the bound-stable ReLUs need none: the former
+    are clamped into [S], a stable active ReLU reuses its input
+    variable and a stable inactive one is bounded to 0.  So
+    {!Dpv_linprog.Lp.complete} turns any point's features into the
+    networks' own values, and the search can try each branching node's
+    LP point as a witness.  The definitions live in the prefix and the
+    memoized head rows, so every model {!complete} returns carries
+    them, over a {!restrict_shared} sub-box too.
+
     Only piecewise-linear layers (Dense, BatchNorm, ReLU) are encodable;
     sigmoid/tanh layers raise [Invalid_argument]. *)
 

@@ -13,6 +13,22 @@ type var_info = {
 
 type constr = { cname : string; terms : term list; rel : relation; rhs : float }
 
+type definition =
+  | Affine of term list * float
+  | Relu of { pre : var; phase : var }
+
+(* A definition as [complete] evaluates it.  An affine one keeps its
+   terms as two arrays, built once when it is recorded, so its dot
+   product runs in a loop with an unboxed accumulator. *)
+type step =
+  | Dot of {
+      target : var;
+      coefs : float array;
+      vars : var array;
+      const : float;
+    }
+  | Max0 of { target : var; pre : var; phase : var }
+
 module Imap = Map.Make (Int)
 
 type t = {
@@ -30,6 +46,9 @@ type t = {
      distance in the derivation tree — see [bounds_delta]. *)
   trail : var list;
   trail_len : int;
+  (* Definitions, the last recorded first. *)
+  defs : step list;
+  ndefs : int;
 }
 
 let create () =
@@ -42,6 +61,8 @@ let create () =
     obj = [];
     trail = [];
     trail_len = 0;
+    defs = [];
+    ndefs = 0;
   }
 
 let add_var ?name ?lo ?up ?(kind = Continuous) m =
@@ -87,8 +108,40 @@ let set_objective m sense obj =
     obj;
   { m with sense; obj = normalize_terms obj }
 
+let define m v d =
+  let check v =
+    if v < 0 || v >= m.nvars then invalid_arg "Lp.define: bad var"
+  in
+  check v;
+  let step =
+    match d with
+    | Affine (terms, const) ->
+        List.iter (fun (_, u) -> check u) terms;
+        Dot
+          {
+            target = v;
+            coefs = Array.of_list (List.map fst terms);
+            vars = Array.of_list (List.map snd terms);
+            const;
+          }
+    | Relu { pre; phase } ->
+        check pre;
+        check phase;
+        Max0 { target = v; pre; phase }
+  in
+  { m with defs = step :: m.defs; ndefs = m.ndefs + 1 }
+
+let definitions m =
+  List.rev_map
+    (function
+      | Dot { target; coefs; vars; const } ->
+          (target, Affine (Array.to_list (Array.combine coefs vars), const))
+      | Max0 { target; pre; phase } -> (target, Relu { pre; phase }))
+    m.defs
+
 let num_vars m = m.nvars
 let num_constraints m = m.nconstrs
+let num_definitions m = m.ndefs
 
 let find_var m v =
   match Imap.find_opt v m.vars with
@@ -173,25 +226,60 @@ let iter_var_bounds f m = Imap.iter (fun v info -> f v info.lo info.up) m.vars
 
 let objective m = (m.sense, m.obj)
 
+let complete m =
+  let lo = Array.make m.nvars neg_infinity
+  and up = Array.make m.nvars infinity in
+  Imap.iter
+    (fun v info ->
+      (match info.lo with Some l -> lo.(v) <- l | None -> ());
+      match info.up with Some u -> up.(v) <- u | None -> ())
+    m.vars;
+  let steps = Array.of_list (List.rev m.defs) in
+  fun x ->
+    if Array.length x <> m.nvars then invalid_arg "Lp.complete: point size";
+    let y = Array.copy x in
+    for v = 0 to m.nvars - 1 do
+      if y.(v) < lo.(v) then y.(v) <- lo.(v);
+      if y.(v) > up.(v) then y.(v) <- up.(v)
+    done;
+    Array.iter
+      (function
+        | Dot { target; coefs; vars; const } ->
+            let acc = ref const in
+            for k = 0 to Array.length coefs - 1 do
+              acc := !acc +. (coefs.(k) *. y.(vars.(k)))
+            done;
+            y.(target) <- !acc
+        | Max0 { target; pre; phase } ->
+            let p = y.(pre) in
+            if p > 0.0 then begin
+              y.(target) <- p;
+              y.(phase) <- 1.0
+            end
+            else begin
+              y.(target) <- 0.0;
+              y.(phase) <- 0.0
+            end)
+      steps;
+    y
+
 let eval_term_list terms x =
   List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0.0 terms
 
+(* Rows first, the newest first: a point that misses the query's last
+   rows fails before the bounds are read. *)
 let check_feasible ?(tol = 1e-6) m x =
-  if Array.length x <> m.nvars then false
-  else
-    let bounds_ok =
-      Imap.for_all
-        (fun v info ->
-          (match info.lo with None -> true | Some l -> x.(v) >= l -. tol)
-          && match info.up with None -> true | Some u -> x.(v) <= u +. tol)
-        m.vars
-    in
-    bounds_ok
-    && List.for_all
-         (fun c ->
-           let lhs = eval_term_list c.terms x in
-           match c.rel with
-           | Le -> lhs <= c.rhs +. tol
-           | Ge -> lhs >= c.rhs -. tol
-           | Eq -> Float.abs (lhs -. c.rhs) <= tol)
-         m.constrs
+  Array.length x = m.nvars
+  && List.for_all
+       (fun c ->
+         let lhs = eval_term_list c.terms x in
+         match c.rel with
+         | Le -> lhs <= c.rhs +. tol
+         | Ge -> lhs >= c.rhs -. tol
+         | Eq -> Float.abs (lhs -. c.rhs) <= tol)
+       m.constrs
+  && Imap.for_all
+       (fun v info ->
+         (match info.lo with None -> true | Some l -> x.(v) >= l -. tol)
+         && match info.up with None -> true | Some u -> x.(v) <= u +. tol)
+       m.vars

@@ -5,7 +5,12 @@
     persistent: every operation returns a new model, which lets
     branch-and-bound branch by tightening bounds without undo logic.
     It is solver-agnostic; {!Simplex} consumes pure LPs and {!Milp}
-    handles integrality. *)
+    handles integrality.
+
+    A model may also record, as plain data, how some variables follow
+    from others ({!define}).  Solvers never read them as rows: they
+    only let {!complete} turn any point into one whose defined
+    variables take their defined values. *)
 
 type var = int
 (** Variable index, valid for the model family that created it. *)
@@ -33,8 +38,38 @@ val add_constraint : ?name:string -> t -> term list -> relation -> float -> t
 
 val set_objective : t -> objective_sense -> term list -> t
 
+type definition =
+  | Affine of term list * float
+      (** [Affine (terms, c)]: the variable equals [c + sum terms] *)
+  | Relu of { pre : var; phase : var }
+      (** the variable equals [max 0 pre], and the binary [phase] is 1
+          when [pre > 0], else 0 *)
+
+val define : t -> var -> definition -> t
+(** [define m v d] records that [v] follows [d].  It adds no row: the
+    rows that encode [d] are the caller's to add.  Definitions are
+    evaluated in the order they were recorded, so each should read only
+    variables the model bounds or that an earlier definition sets; a
+    variable defined twice takes its later value.  Raises
+    [Invalid_argument] on a variable the model does not have. *)
+
+val definitions : t -> (var * definition) list
+(** In the order recorded. *)
+
+val complete : t -> float array -> float array
+(** [complete m x] is a fresh copy of [x], clamped into the bounds of
+    [m], on which every definition of [m] is then evaluated in the order
+    recorded.  A variable no definition sets keeps its clamped value.
+    The result satisfies a definition's rows when the definition agrees
+    with them; {!check_feasible} says whether it satisfies the whole
+    model.  [complete m] reads the bounds and definitions into arrays,
+    so a caller completing many points of one model applies it to [m]
+    once.  Raises [Invalid_argument] when [x] does not have one entry
+    per variable. *)
+
 val num_vars : t -> int
 val num_constraints : t -> int
+val num_definitions : t -> int
 val var_bounds : t -> var -> float option * float option
 val integer_vars : t -> var list
 (** Variables of kind [Integer] or [Binary], ascending. *)

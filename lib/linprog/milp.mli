@@ -5,6 +5,11 @@
     big-M ReLU encodings where the integer variables are the binary
     phase indicators.  Also solves general small MILPs.
 
+    Incumbents come from two places: an LP point that is integral, and
+    a branching node's LP point completed through the root model's
+    definitions ({!Lp.complete}) that turns out integral and feasible
+    on the root.  A model without definitions only has the first.
+
     The search itself is {!Milp_par.solve_with_stats}, one engine for
     every worker count. *)
 
@@ -168,10 +173,11 @@ val stateless_guide : guide -> guide_factory
 type options = {
   max_nodes : int;      (** branch-and-bound node budget *)
   int_tol : float;      (** integrality tolerance *)
-  find_first : bool;    (** stop at the first integer-feasible solution;
-                            the natural mode for feasibility queries.
-                            Incumbents are reported as {!Feasible}
-                            (never {!Optimal}) in this mode *)
+  find_first : bool;    (** stop at the first integer-feasible solution,
+                            an integral LP point or a feasible completion
+                            (see above); the natural mode for feasibility
+                            queries.  Incumbents are reported as
+                            {!Feasible} (never {!Optimal}) in this mode *)
   workers : int;        (** search workers, [>= 1]: one searches a DFS
                             list on the calling domain, more run a
                             {!Pool} of that many domains *)

@@ -130,6 +130,8 @@ type search = {
   options : Milp.options;
   model : Lp.t;  (* the root, identified by physical equality *)
   int_vars : Lp.var list;
+  complete : (float array -> float array) option;
+      (* [Lp.complete] on the root, when it records definitions *)
   better : float -> float -> bool;  (* [better a b]: [a] improves on [b] *)
   deadline : Clock.deadline;
   incumbent : (float * float array) option Atomic.t;
@@ -137,6 +139,9 @@ type search = {
   nodes : int Atomic.t;
   updates : int Atomic.t;
   found : bool Atomic.t;          (* an incumbent exists (find_first exit) *)
+  completed_at : int Atomic.t;
+      (* the node whose completed LP point is the incumbent, 0 when the
+         incumbent is an integral LP point or there is none *)
   hit_limit : bool Atomic.t;
   hit_deadline : bool Atomic.t;
   relaxation_unbounded : bool Atomic.t;  (* root LP unbounded: halt *)
@@ -167,6 +172,8 @@ let new_search (options : Milp.options) model =
     options;
     model;
     int_vars = Lp.integer_vars model;
+    complete =
+      (if Lp.num_definitions model > 0 then Some (Lp.complete model) else None);
     better =
       (match sense with
       | Lp.Minimize -> fun a b -> a < b -. 1e-12
@@ -177,6 +184,7 @@ let new_search (options : Milp.options) model =
     nodes = Atomic.make 0;
     updates = Atomic.make 0;
     found = Atomic.make false;
+    completed_at = Atomic.make 0;
     hit_limit = Atomic.make false;
     hit_deadline = Atomic.make false;
     relaxation_unbounded = Atomic.make false;
@@ -252,14 +260,40 @@ let pruned_by_incumbent s objective =
   | Some (obj, _) -> not (s.better objective obj)
   | None -> false
 
-let publish s objective sol =
+let publish s ~completed_at objective sol =
   Mutex.protect s.incumbent_lock (fun () ->
       match Atomic.get s.incumbent with
       | Some (obj, _) when not (s.better objective obj) -> ()
       | _ ->
           Atomic.set s.incumbent (Some (objective, sol));
+          Atomic.set s.completed_at completed_at;
           Atomic.incr s.updates;
           Atomic.set s.found true)
+
+(* A branching node's LP point, completed through the root's
+   definitions: for an encoding, the network's own values at the
+   point's features.  When that point is integral and feasible on the
+   root, it is as good a witness as any integral leaf below, so it is
+   offered as the incumbent.  Returns whether it was feasible.  It
+   reads the LP point only, so a rejected completion leaves the search
+   exactly as it was. *)
+let completes_feasibly s ~id solution =
+  match s.complete with
+  | None -> false
+  | Some complete ->
+      let tol = s.options.int_tol in
+      let x = complete solution in
+      List.for_all (fun v -> is_integral ~tol x.(v)) s.int_vars
+      && begin
+        List.iter (fun v -> x.(v) <- Float.round x.(v)) s.int_vars;
+        Lp.check_feasible s.model x
+      end
+      && begin
+        publish s ~completed_at:id
+          (Lp.eval_term_list (snd (Lp.objective s.model)) x)
+          x;
+        true
+      end
 
 let branch_var (options : Milp.options) guidance node solution =
   let tol = options.int_tol in
@@ -293,7 +327,7 @@ let step s w node =
               node fix
         | _ -> node
       in
-      Atomic.incr s.nodes;
+      let id = 1 + Atomic.fetch_and_add s.nodes 1 in
       w.explored <- w.explored + 1;
       let lp_started = Clock.now_s () in
       let status = solve_lp s w node in
@@ -321,10 +355,13 @@ let step s w node =
           else
             match branch_var s.options guidance node solution with
             | None ->
-                publish s objective
+                publish s ~completed_at:0 objective
                   (round_integral ~tol:s.options.int_tol node solution);
                 []
-            | Some v -> branch_children node v solution.(v)))
+            | Some v ->
+                if completes_feasibly s ~id solution && s.options.find_first
+                then []
+                else branch_children node v solution.(v)))
 
 (* ---- frontiers ---- *)
 
@@ -481,17 +518,24 @@ let finish s workers ~guide_before ~steals ~max_queue_depth ~trace_t0 =
   in
   let result = classify s in
   record_metrics stats;
-  if trace_t0 <> 0 then
+  if trace_t0 <> 0 then begin
+    let completed_at =
+      match Atomic.get s.completed_at with
+      | 0 -> []
+      | id -> [ ("completed_at", string_of_int id) ]
+    in
     Dpv_obs.Trace.complete
       ~args:
-        [
-          ("workers", string_of_int (Array.length workers));
-          ("nodes", string_of_int nodes);
-          ("lps", string_of_int stats.lp_solved);
-          ("pivots", string_of_int stats.pivots);
-          ("steals", string_of_int steals);
-        ]
-      ~name:"milp.solve" trace_t0;
+        ([
+           ("workers", string_of_int (Array.length workers));
+           ("nodes", string_of_int nodes);
+           ("lps", string_of_int stats.lp_solved);
+           ("pivots", string_of_int stats.pivots);
+           ("steals", string_of_int steals);
+         ]
+        @ completed_at)
+      ~name:"milp.solve" trace_t0
+  end;
   (result, stats)
 
 let solve_with_stats ?(options = Milp.default_options) model =

@@ -16,10 +16,24 @@
     tree, so objective values and Infeasible/Timeout classifications
     agree (witness solutions may differ between equally-optimal points).
 
+    When a node's LP is optimal and the node branches, its LP point is
+    first completed through the root model's definitions
+    ({!Lp.complete}).  If every integer variable of the completion is
+    integral and {!Lp.check_feasible} accepts it on the root model (so
+    within that check's 1e-6 tolerance), it is offered as the
+    incumbent; under [find_first] the node then closes instead of
+    branching.  The completion reads only the LP point: it touches
+    neither the simplex handle nor the guide, so a rejected completion
+    has no side effect: with one worker, a search in which no
+    completion is accepted explores the same tree, with the same pivots
+    and counts, as over the same model without definitions.
+
     Node budgets ([max_nodes]) and wall-clock deadlines
     ([time_limit_s]) are enforced globally across workers.  Every solve
     folds its stats into the global {!Dpv_obs.Metrics} registry and
-    records a [milp.solve] trace span. *)
+    records a [milp.solve] trace span; its [completed_at] argument,
+    present only when the incumbent is an accepted completion, is the
+    node (counted from 1, the root) whose LP point completed to it. *)
 
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count () - 1], floored at 1: leave one

@@ -15,6 +15,7 @@ let () =
       ("absint", Test_absint.tests);
       ("absint-guided", Test_absint_guided.tests);
       ("absint-incremental", Test_absint_incremental.tests);
+      ("completion", Test_completion.tests);
       ("spec", Test_spec.tests);
       ("scenario", Test_scenario.tests);
       ("monitor", Test_monitor.tests);

@@ -646,14 +646,20 @@ let tests =
 
 let model_bits model =
   let bits = Int64.bits_of_float in
+  let terms_bits = List.map (fun (c, v) -> (bits c, v)) in
   ( List.map
-      (fun (name, terms, rel, rhs) ->
-        (name, List.map (fun (c, v) -> (bits c, v)) terms, rel, bits rhs))
+      (fun (name, terms, rel, rhs) -> (name, terms_bits terms, rel, bits rhs))
       (Lp.constraints model),
     List.init (Lp.num_vars model) (fun v ->
         let lo, up = Lp.var_bounds model v in
         (Option.map bits lo, Option.map bits up)),
-    Lp.integer_vars model )
+    Lp.integer_vars model,
+    List.map
+      (fun (v, d) ->
+        match d with
+        | Lp.Affine (terms, c) -> (v, Some (terms_bits terms, bits c), None)
+        | Lp.Relu { pre; phase } -> (v, None, Some (pre, phase)))
+      (Lp.definitions model) )
 
 let encoding_vars (e : Encode.t) =
   ( e.Encode.feature_vars,
@@ -670,8 +676,9 @@ let search (e : Encode.t) =
 
 let check_same_encoding ctx ~fresh got =
   Alcotest.(check bool)
-    (ctx ^ ": rows, bounds and integer vars") true
-    (model_bits fresh.Encode.model = model_bits got.Encode.model);
+    (ctx ^ ": rows, bounds, integer vars and definitions") true
+    (Lp.num_definitions got.Encode.model > 0
+    && model_bits fresh.Encode.model = model_bits got.Encode.model);
   Alcotest.(check bool)
     (ctx ^ ": encoding vars") true
     (encoding_vars fresh = encoding_vars got);
