@@ -597,16 +597,19 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
     in
     fun node -> consult inst node
   in
-  let guide_stats () =
+  let stats () =
     Mutex.protect lock (fun () ->
         List.fold_left
-          (fun acc i ->
+          (fun (acc : Milp.stats) i ->
             {
-              Milp.incr_hits = acc.Milp.incr_hits + i.i_hits;
-              layers_propagated = acc.Milp.layers_propagated + i.i_propagated;
-              layers_saved = acc.Milp.layers_saved + i.i_saved;
-              cache_evictions = acc.Milp.cache_evictions + i.i_evictions;
+              acc with
+              absint_incr_hits = acc.absint_incr_hits + i.i_hits;
+              absint_layers_propagated =
+                acc.absint_layers_propagated + i.i_propagated;
+              absint_layers_saved = acc.absint_layers_saved + i.i_saved;
+              absint_cache_evictions =
+                acc.absint_cache_evictions + i.i_evictions;
             })
-          Milp.empty_guide_stats !instances)
+          Milp.empty_stats !instances)
   in
-  { Milp.new_guide; guide_stats }
+  { Milp.new_guide; stats }

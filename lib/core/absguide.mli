@@ -100,9 +100,10 @@ val factory :
   Dpv_linprog.Milp.guide_factory
 (** A guide factory over the encoded networks.  Every [new_guide] call
     returns an independent stateful instance (safe to confine one per
-    worker domain); the factory's [guide_stats] aggregates
-    [incr_hits]/[layers_propagated]/[layers_saved]/[cache_evictions]
-    over all instances and is read by the solvers as a start/end delta.
+    worker domain); the factory's [stats] aggregates
+    [absint_incr_hits]/[absint_layers_propagated]/[absint_layers_saved]/
+    [absint_cache_evictions] over all instances and is read by the
+    solvers as a start/end delta.
 
     [budget_floats] bounds each instance's cached layer states (see
     {!Dpv_absint.Deeppoly.Resumable.create}); evicted layers are

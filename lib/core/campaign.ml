@@ -493,7 +493,7 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
   let total_wall_s = Clock.now_s () -. started in
   (* The delta is taken *before* the meta append below, so a shard's
      recorded snapshot excludes the bookkeeping of writing it — which
-     is what lets [merge_reports] sum shard snapshots into exact
+     is what lets [merged_to_json] sum shard snapshots into exact
      campaign totals. *)
   let metrics = Metrics.since ~before:metrics_before (Metrics.snapshot ()) in
   (* Shard trailers are mandatory for merge; unsharded journals only
@@ -571,21 +571,12 @@ let buf_query_record b ~last ~label ~(outcome : outcome) ~from_cache
       Printf.bprintf b ",\n      \"wall_s\": %.4f,\n" r.Verify.wall_time_s;
       Printf.bprintf b "      \"encoding\": %S,\n" r.Verify.encoding;
       Printf.bprintf b "      \"num_binaries\": %d,\n" r.Verify.num_binaries;
-      Printf.bprintf b
-        "      \"milp\": { \"nodes\": %d, \"lps\": %d, \
-         \"incumbent_updates\": %d, \"steals\": %d, \
-         \"max_queue_depth\": %d, \"lp_time_s\": %.4f, \
-         \"pivots\": %d, \"warm_starts\": %d, \"cold_starts\": %d, \
-         \"fallbacks\": %d, \"absint_phase_fixes\": %d, \
-         \"absint_prunes\": %d, \"absint_incr_hits\": %d, \
-         \"absint_layers_propagated\": %d, \"absint_layers_saved\": %d, \
-         \"absint_cache_evictions\": %d }\n"
-        s.Milp.nodes_explored s.Milp.lp_solved s.Milp.incumbent_updates
-        s.Milp.steals s.Milp.max_queue_depth s.Milp.lp_time_s s.Milp.pivots
-        s.Milp.warm_starts s.Milp.cold_starts s.Milp.fallbacks
-        s.Milp.absint_phase_fixes s.Milp.absint_prunes s.Milp.absint_incr_hits
-        s.Milp.absint_layers_propagated s.Milp.absint_layers_saved
-        s.Milp.absint_cache_evictions
+      Buffer.add_string b "      \"milp\": { ";
+      List.iter
+        (fun (c : Milp.counter) ->
+          Printf.bprintf b "%S: %d, " c.report (c.get s))
+        Milp.counters;
+      Printf.bprintf b "\"lp_time_s\": %.4f }\n" s.Milp.lp_time_s
   | Crashed _ | Skipped _ -> Buffer.add_string b "\n");
   Printf.bprintf b "    }%s\n" (if last then "" else ",")
 
@@ -636,54 +627,6 @@ let save_json report ~path =
     (fun () -> output_string oc (to_json report))
 
 (* ---- Shard merging ------------------------------------------------ *)
-
-(* Combine the in-process reports of a disjoint shard partition into
-   the report the unsharded campaign would have produced (up to
-   ordering and wall clock): query lists concatenate in key order so
-   the result is independent of which shard ran first, counts add,
-   metric snapshots add exactly ({!Metrics.merge}), wall clock is the
-   slowest shard (they run concurrently), and the merged report is no
-   longer any one shard. *)
-let merge_reports reports =
-  match reports with
-  | [] -> invalid_arg "Campaign.merge_reports: empty report list"
-  | first :: _ ->
-      let query_reports =
-        List.concat_map (fun r -> r.query_reports) reports
-        |> List.map (fun qr -> (query_key qr.query, qr))
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-        |> List.map snd
-      in
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-      let fmax f =
-        List.fold_left (fun acc r -> Stdlib.max acc (f r)) (f first) reports
-      in
-      {
-        query_reports;
-        cache =
-          {
-            entries = sum (fun r -> r.cache.entries);
-            hits = sum (fun r -> r.cache.hits);
-            misses = sum (fun r -> r.cache.misses);
-          };
-        runners = fmax (fun r -> r.runners);
-        shard = None;
-        budget_s = first.budget_s;
-        total_wall_s =
-          List.fold_left
-            (fun acc r -> Stdlib.max acc r.total_wall_s)
-            0.0 reports;
-        degraded = List.exists (fun r -> r.degraded) reports;
-        crashed = sum (fun r -> r.crashed);
-        skipped = sum (fun r -> r.skipped);
-        retried = sum (fun r -> r.retried);
-        resumed = sum (fun r -> r.resumed);
-        journal_write_failures = sum (fun r -> r.journal_write_failures);
-        metrics =
-          List.fold_left
-            (fun acc r -> Metrics.merge acc r.metrics)
-            Metrics.empty_snapshot reports;
-      }
 
 (* Merge shard journals (as loaded by {!Journal.load_with_meta}) into
    one entry list plus the collected meta trailers.  Entries dedup by

@@ -263,19 +263,10 @@ val save_json : report -> path:string -> unit
 
     A sharded campaign runs as [n] independent processes, each covering
     one slice of the partition and journaling its slice's outcomes plus
-    one meta trailer.  These functions reassemble the whole campaign:
-    in-process ({!merge_reports}, for tests and library callers) or
-    from the shard journals ({!merge_journals} / {!merged_to_json},
-    what [dpv merge-journals] runs). *)
-
-val merge_reports : report list -> report
-(** Combine the reports of a disjoint shard partition into the report
-    of the whole campaign: query reports concatenate in {!query_key}
-    order (deterministic regardless of shard order), counters and
-    cache statistics add, metric snapshots add exactly
-    ({!Dpv_obs.Metrics.merge}), [runners] is the per-shard maximum,
-    [total_wall_s] the slowest shard, [degraded] the disjunction, and
-    [shard] is [None].  Raises [Invalid_argument] on the empty list. *)
+    one meta trailer.  [dpv merge-journals] reassembles the whole
+    campaign from the shard journals alone: {!merge_journals} merges
+    their entries and trailers, and {!merged_to_json} writes the
+    report. *)
 
 val merge_journals :
   (Journal.entry list * Journal.meta list) list ->

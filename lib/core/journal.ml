@@ -67,24 +67,22 @@ let buf_result b (r : Verify.result) =
   Printf.bprintf b ", \"encoding\": %S, \"num_binaries\": %d, \"wall_time_s\": %.17g"
     r.Verify.encoding r.Verify.num_binaries r.Verify.wall_time_s;
   let s = r.Verify.milp_stats in
-  Printf.bprintf b
-    ", \"milp\": {\"nodes_explored\": %d, \"lp_solved\": %d, \
-     \"incumbent_updates\": %d, \"lp_time_s\": %.17g, \"per_worker_nodes\": "
-    s.Milp.nodes_explored s.Milp.lp_solved s.Milp.incumbent_updates
+  Buffer.add_string b ", \"milp\": {";
+  (* Plain buffer writes, not a [Printf] call per row: every settled
+     query writes this object, and per-row [Printf] makes it ~1.6x
+     slower with ~8x the garbage. *)
+  List.iter
+    (fun (c : Milp.counter) ->
+      Buffer.add_char b '"';
+      Buffer.add_string b c.key;
+      Buffer.add_string b "\": ";
+      Buffer.add_string b (string_of_int (c.get s));
+      Buffer.add_string b ", ")
+    Milp.counters;
+  Printf.bprintf b "\"lp_time_s\": %.17g, \"per_worker_nodes\": "
     s.Milp.lp_time_s;
   buf_ints b s.Milp.per_worker_nodes;
-  Printf.bprintf b
-    ", \"steals\": %d, \"max_queue_depth\": %d, \"pivots\": %d, \
-     \"warm_starts\": %d, \"cold_starts\": %d, \"fallbacks\": %d, \
-     \"absint_phase_fixes\": %d, \"absint_prunes\": %d, \
-     \"absint_incr_hits\": %d, \"absint_layers_propagated\": %d, \
-     \"absint_layers_saved\": %d, \"absint_cache_evictions\": %d}"
-    s.Milp.steals s.Milp.max_queue_depth s.Milp.pivots s.Milp.warm_starts
-    s.Milp.cold_starts s.Milp.fallbacks s.Milp.absint_phase_fixes
-    s.Milp.absint_prunes s.Milp.absint_incr_hits
-    s.Milp.absint_layers_propagated s.Milp.absint_layers_saved
-    s.Milp.absint_cache_evictions;
-  Buffer.add_string b "}"
+  Buffer.add_string b "}}"
 
 let entry_to_line e =
   let b = Buffer.create 512 in
@@ -323,68 +321,38 @@ let field ~line name conv j =
       Error
         (Printf.sprintf "line %d: missing or ill-typed field %S" line name)
 
-let float_array ~line name j =
+let array ~line ~what conv name j =
   let* l = field ~line name Json.to_list j in
   let rec go acc = function
     | [] -> Ok (Array.of_list (List.rev acc))
     | x :: rest -> (
-        match Json.to_float x with
-        | Some f -> go (f :: acc) rest
+        match conv x with
+        | Some v -> go (v :: acc) rest
         | None ->
-            Error
-              (Printf.sprintf "line %d: non-number in array %S" line name))
+            Error (Printf.sprintf "line %d: %s in array %S" line what name))
   in
   go [] l
 
-let int_array ~line name j =
-  let* fa = float_array ~line name j in
-  Ok (Array.map int_of_float fa)
+let float_array ~line = array ~line ~what:"non-number" Json.to_float
+let int_array ~line = array ~line ~what:"non-integer" Json.to_int
 
+(* A row marked [optional] reads 0 when its key is absent, so journals
+   written before that counter existed stay resumable; a key that is
+   present must hold an integer. *)
 let parse_milp ~line j =
-  let* nodes_explored = field ~line "nodes_explored" Json.to_int j in
-  let* lp_solved = field ~line "lp_solved" Json.to_int j in
-  let* incumbent_updates = field ~line "incumbent_updates" Json.to_int j in
   let* lp_time_s = field ~line "lp_time_s" Json.to_float j in
   let* per_worker_nodes = int_array ~line "per_worker_nodes" j in
-  let* steals = field ~line "steals" Json.to_int j in
-  let* max_queue_depth = field ~line "max_queue_depth" Json.to_int j in
-  let* pivots = field ~line "pivots" Json.to_int j in
-  let* warm_starts = field ~line "warm_starts" Json.to_int j in
-  let* cold_starts = field ~line "cold_starts" Json.to_int j in
-  let* fallbacks = field ~line "fallbacks" Json.to_int j in
-  (* Absint counters default to 0 so journals written before the
-     abstraction-guided search remain resumable. *)
-  let opt_int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some v -> v
-    | None -> 0
-  in
-  let absint_phase_fixes = opt_int "absint_phase_fixes" in
-  let absint_prunes = opt_int "absint_prunes" in
-  let absint_incr_hits = opt_int "absint_incr_hits" in
-  let absint_layers_propagated = opt_int "absint_layers_propagated" in
-  let absint_layers_saved = opt_int "absint_layers_saved" in
-  let absint_cache_evictions = opt_int "absint_cache_evictions" in
-  Ok
-    {
-      Milp.nodes_explored;
-      lp_solved;
-      incumbent_updates;
-      lp_time_s;
-      per_worker_nodes;
-      steals;
-      max_queue_depth;
-      pivots;
-      warm_starts;
-      cold_starts;
-      fallbacks;
-      absint_phase_fixes;
-      absint_prunes;
-      absint_incr_hits;
-      absint_layers_propagated;
-      absint_layers_saved;
-      absint_cache_evictions;
-    }
+  List.fold_left
+    (fun acc (c : Milp.counter) ->
+      let* s = acc in
+      let* v =
+        match Json.member c.key j with
+        | None when c.optional -> Ok 0
+        | _ -> field ~line c.key Json.to_int j
+      in
+      Ok (c.set s v))
+    (Ok { Milp.empty_stats with lp_time_s; per_worker_nodes })
+    Milp.counters
 
 let parse_result ~line j =
   let* verdict_word = field ~line "verdict" Json.to_string j in

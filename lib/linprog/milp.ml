@@ -55,27 +55,83 @@ let add_slots a b =
   Array.init (max la lb) (fun i ->
       (if i < la then a.(i) else 0) + if i < lb then b.(i) else 0)
 
+type merge = Sum | Max
+
+type counter = {
+  key : string;
+  report : string;
+  metric : string;
+  merge : merge;
+  optional : bool;
+  get : stats -> int;
+  set : stats -> int -> stats;
+}
+
+let row ?report ?(merge = Sum) ?(optional = false) key metric get set =
+  let report = Option.value report ~default:key in
+  { key; report; metric; merge; optional; get; set }
+
+(* Row order is the order of the journal and campaign-report keys. *)
+let counters =
+  [
+    row "nodes_explored" ~report:"nodes" "milp.nodes"
+      (fun s -> s.nodes_explored)
+      (fun s v -> { s with nodes_explored = v });
+    row "lp_solved" ~report:"lps" "milp.lps"
+      (fun s -> s.lp_solved)
+      (fun s v -> { s with lp_solved = v });
+    row "incumbent_updates" "milp.incumbent_updates"
+      (fun s -> s.incumbent_updates)
+      (fun s v -> { s with incumbent_updates = v });
+    row "steals" "milp.steals"
+      (fun s -> s.steals)
+      (fun s v -> { s with steals = v });
+    row "max_queue_depth" "milp.max_queue_depth" ~merge:Max
+      (fun s -> s.max_queue_depth)
+      (fun s v -> { s with max_queue_depth = v });
+    row "pivots" "simplex.pivots"
+      (fun s -> s.pivots)
+      (fun s v -> { s with pivots = v });
+    row "warm_starts" "simplex.warm_starts"
+      (fun s -> s.warm_starts)
+      (fun s v -> { s with warm_starts = v });
+    row "cold_starts" "simplex.cold_starts"
+      (fun s -> s.cold_starts)
+      (fun s v -> { s with cold_starts = v });
+    row "fallbacks" "simplex.fallbacks"
+      (fun s -> s.fallbacks)
+      (fun s v -> { s with fallbacks = v });
+    row "absint_phase_fixes" "absint.phase_fixes" ~optional:true
+      (fun s -> s.absint_phase_fixes)
+      (fun s v -> { s with absint_phase_fixes = v });
+    row "absint_prunes" "absint.prunes" ~optional:true
+      (fun s -> s.absint_prunes)
+      (fun s v -> { s with absint_prunes = v });
+    row "absint_incr_hits" "absint.incr_hits" ~optional:true
+      (fun s -> s.absint_incr_hits)
+      (fun s v -> { s with absint_incr_hits = v });
+    row "absint_layers_propagated" "absint.layers_propagated" ~optional:true
+      (fun s -> s.absint_layers_propagated)
+      (fun s v -> { s with absint_layers_propagated = v });
+    row "absint_layers_saved" "absint.layers_saved" ~optional:true
+      (fun s -> s.absint_layers_saved)
+      (fun s v -> { s with absint_layers_saved = v });
+    row "absint_cache_evictions" "absint.cache_evictions" ~optional:true
+      (fun s -> s.absint_cache_evictions)
+      (fun s v -> { s with absint_cache_evictions = v });
+  ]
+
 let add_stats a b =
-  {
-    nodes_explored = a.nodes_explored + b.nodes_explored;
-    lp_solved = a.lp_solved + b.lp_solved;
-    incumbent_updates = a.incumbent_updates + b.incumbent_updates;
-    lp_time_s = a.lp_time_s +. b.lp_time_s;
-    per_worker_nodes = add_slots a.per_worker_nodes b.per_worker_nodes;
-    steals = a.steals + b.steals;
-    max_queue_depth = max a.max_queue_depth b.max_queue_depth;
-    pivots = a.pivots + b.pivots;
-    warm_starts = a.warm_starts + b.warm_starts;
-    cold_starts = a.cold_starts + b.cold_starts;
-    fallbacks = a.fallbacks + b.fallbacks;
-    absint_phase_fixes = a.absint_phase_fixes + b.absint_phase_fixes;
-    absint_prunes = a.absint_prunes + b.absint_prunes;
-    absint_incr_hits = a.absint_incr_hits + b.absint_incr_hits;
-    absint_layers_propagated =
-      a.absint_layers_propagated + b.absint_layers_propagated;
-    absint_layers_saved = a.absint_layers_saved + b.absint_layers_saved;
-    absint_cache_evictions = a.absint_cache_evictions + b.absint_cache_evictions;
-  }
+  List.fold_left
+    (fun s c ->
+      let x = c.get a and y = c.get b in
+      c.set s (match c.merge with Sum -> x + y | Max -> max x y))
+    {
+      empty_stats with
+      lp_time_s = a.lp_time_s +. b.lp_time_s;
+      per_worker_nodes = add_slots a.per_worker_nodes b.per_worker_nodes;
+    }
+    counters
 
 type branch_rule = Most_fractional | Bound_width | Guide_order
 
@@ -93,47 +149,24 @@ type guidance = {
 
 type guide = Lp.t -> guidance
 
-(* What a stateful guide did across one solve: cache hits (consults
-   that reused at least one cached layer state), layer transfers run
-   and skipped, and layer states dropped for the memory budget.  All
-   zero for stateless guides. *)
-type guide_stats = {
-  incr_hits : int;
-  layers_propagated : int;
-  layers_saved : int;
-  cache_evictions : int;
-}
-
-let empty_guide_stats =
-  {
-    incr_hits = 0;
-    layers_propagated = 0;
-    layers_saved = 0;
-    cache_evictions = 0;
-  }
-
 (* Guides carry per-solver state (cached propagation prefixes), so the
    search asks the factory for a fresh instance per worker instead of
-   sharing a closure across domains.  [guide_stats] aggregates over
-   every instance the factory ever made; the search reads it as a
-   start/end delta so factories may outlive a solve. *)
-type guide_factory = {
-  new_guide : unit -> guide;
-  guide_stats : unit -> guide_stats;
-}
+   sharing a closure across domains.  [stats] aggregates the guide
+   counters over every instance the factory ever made; the search reads
+   it as a start/end delta so factories may outlive a solve. *)
+type guide_factory = { new_guide : unit -> guide; stats : unit -> stats }
 
 (* Wrap a stateless per-node closure (tests, custom heuristics) as a
    factory: every "instance" is the same closure and the stats stay
    zero. *)
 let stateless_guide g =
-  { new_guide = (fun () -> g); guide_stats = (fun () -> empty_guide_stats) }
+  { new_guide = (fun () -> g); stats = (fun () -> empty_stats) }
 
 type options = {
   max_nodes : int;
   int_tol : float;
   find_first : bool;
   workers : int;
-  task_batch : int;
   time_limit_s : float option;
   lp_dense : bool;
   absint : guide_factory option;
@@ -146,7 +179,6 @@ let default_options =
     int_tol = 1e-6;
     find_first = false;
     workers = 1;
-    task_batch = 32;
     time_limit_s = None;
     lp_dense = false;
     absint = None;

@@ -93,11 +93,45 @@ val empty_stats : stats
     still report a [stats] record. *)
 
 val add_stats : stats -> stats -> stats
-(** Componentwise sum (maxing [max_queue_depth]) — used when one
-    verification query is answered by several MILP solves, e.g. under
-    input bisection.  [per_worker_nodes] is summed slot-wise: the
-    result has the longer array's length, and slot [i] adds worker [i]
-    of each solve. *)
+(** Merges each row of {!counters} by its rule (a sum, except
+    [max_queue_depth], which is maxed) and sums [lp_time_s] — used
+    when one verification query is answered by several MILP solves,
+    e.g. under input bisection.  [per_worker_nodes] is summed
+    slot-wise: the result has the longer array's length, and slot [i]
+    adds worker [i] of each solve. *)
+
+(** {2 Counters}
+
+    Every integer field of {!stats} is declared once, as a row of
+    {!counters}.  Merging ({!add_stats}), the journal's encoder and
+    decoder, the campaign report and the exported metrics all iterate
+    the rows instead of naming fields; [lp_time_s] and
+    [per_worker_nodes] are the only fields each of them handles by
+    hand.  Adding a counter takes the field (here and in [milp.ml]),
+    its zero in {!empty_stats}, one row, and the code that produces
+    the value. *)
+
+type merge =
+  | Sum  (** solves add up; exported as a [dpv-metrics/1] counter *)
+  | Max  (** the larger value wins; exported as a high-water gauge *)
+
+type counter = {
+  key : string;       (** the key in a journal entry's ["milp"] object *)
+  report : string;    (** the key in a campaign report's ["milp"] object *)
+  metric : string;    (** the [dpv-metrics/1] name *)
+  merge : merge;
+  optional : bool;
+      (** journals written before this row may lack its key, which then
+          reads 0.  A row added after the journal format shipped must
+          set this, or older journals stop loading. *)
+  get : stats -> int;
+  set : stats -> int -> stats;  (** functional update of the field *)
+}
+(** One integer field of {!stats} with everything that names it. *)
+
+val counters : counter list
+(** One row per integer field of {!stats}, in the order the journal
+    and the campaign report write their keys. *)
 
 type branch_rule =
   | Most_fractional  (** classic most-fractional branching (default) *)
@@ -138,28 +172,19 @@ type guide = Lp.t -> guidance
     this module only sees the closure, so [lib/linprog] stays free of
     any dependency on the abstract domains. *)
 
-type guide_stats = {
-  incr_hits : int;
-  layers_propagated : int;
-  layers_saved : int;
-  cache_evictions : int;
-}
-(** Incremental-propagation work done by a stateful guide; see the
-    matching [absint_*] fields of {!stats}.  All zero for stateless
-    guides. *)
-
-val empty_guide_stats : guide_stats
-
 type guide_factory = {
   new_guide : unit -> guide;
       (** a fresh guide instance.  Instances may carry mutable
           propagation caches, so each is confined to the worker that
           requested it: the search makes one per worker, on first
           use. *)
-  guide_stats : unit -> guide_stats;
-      (** counters aggregated over every instance this factory created.
-          The search snapshots before and after and records the delta,
-          so factories may be reused across solves. *)
+  stats : unit -> stats;
+      (** the guide's work, aggregated over every instance this factory
+          created (a DeepPoly guide fills the four incremental
+          counters, [absint_incr_hits] to [absint_cache_evictions];
+          every other field stays 0).  The search snapshots it before
+          and after and adds the delta of each row of {!counters}, so
+          factories may be reused across solves. *)
 }
 (** How solvers obtain guides.  The factory itself must be safe to call
     from the domain that owns the solve; instance creation happens on
@@ -181,15 +206,6 @@ type options = {
   workers : int;        (** search workers, [>= 1]: one searches a DFS
                             list on the calling domain, more run a
                             {!Pool} of that many domains *)
-  task_batch : int;     (** with [workers > 1], the nodes a pool task
-                            explores depth-first before handing leftover
-                            subtrees back to the pool (default 32; values
-                            < 1 clamp to 1, which restores one-node
-                            tasks).  Batching amortizes per-task pool
-                            overhead and keeps consecutive node LPs on
-                            the same worker handle's warm basis; one
-                            worker ignores it — its DFS is already one
-                            unbroken batch *)
   time_limit_s : float option;
       (** wall-clock budget; [None] never expires.  Measured on a
           monotonic wall clock, not CPU time, so it stays meaningful

@@ -63,14 +63,6 @@ let branch_children node v x =
   let up_node = Lp.set_var_bounds node v ~lo:(Some ceil_v) ~up in
   if x -. floor_v <= ceil_v -. x then [ down; up_node ] else [ up_node; down ]
 
-let sub_guide_stats (a : Milp.guide_stats) (b : Milp.guide_stats) =
-  {
-    Milp.incr_hits = a.incr_hits - b.incr_hits;
-    layers_propagated = a.layers_propagated - b.layers_propagated;
-    layers_saved = a.layers_saved - b.layers_saved;
-    cache_evictions = a.cache_evictions - b.cache_evictions;
-  }
-
 (* ---- metrics ---- *)
 
 (* Global metrics, folded from the finished [stats] record at the end of
@@ -82,42 +74,26 @@ let sub_guide_stats (a : Milp.guide_stats) (b : Milp.guide_stats) =
 module Metrics = Dpv_obs.Metrics
 
 let m_solves = Metrics.counter "milp.solves"
-let m_nodes = Metrics.counter "milp.nodes"
-let m_lps = Metrics.counter "milp.lps"
-let m_incumbents = Metrics.counter "milp.incumbent_updates"
 let m_lp_time = Metrics.counter "milp.lp_time_ns"
-let m_steals = Metrics.counter "milp.steals"
-let m_queue_depth = Metrics.gauge "milp.max_queue_depth"
-let m_pivots = Metrics.counter "simplex.pivots"
-let m_warm = Metrics.counter "simplex.warm_starts"
-let m_cold = Metrics.counter "simplex.cold_starts"
-let m_fallbacks = Metrics.counter "simplex.fallbacks"
-let m_absint_fixes = Metrics.counter "absint.phase_fixes"
-let m_absint_prunes = Metrics.counter "absint.prunes"
-let m_absint_hits = Metrics.counter "absint.incr_hits"
-let m_absint_propagated = Metrics.counter "absint.layers_propagated"
-let m_absint_saved = Metrics.counter "absint.layers_saved"
-let m_absint_evictions = Metrics.counter "absint.cache_evictions"
 let lp_solve_hist = Metrics.histogram "milp.lp_solve_ns"
+
+(* One exporter per row of [Milp.counters], its metric registered once. *)
+let m_counters =
+  List.map
+    (fun (c : Milp.counter) ->
+      match c.merge with
+      | Milp.Sum ->
+          let m = Metrics.counter c.metric in
+          fun s -> Metrics.incr m (c.get s)
+      | Milp.Max ->
+          let m = Metrics.gauge c.metric in
+          fun s -> Metrics.set_max m (c.get s))
+    Milp.counters
 
 let record_metrics (s : Milp.stats) =
   Metrics.incr m_solves 1;
-  Metrics.incr m_nodes s.nodes_explored;
-  Metrics.incr m_lps s.lp_solved;
-  Metrics.incr m_incumbents s.incumbent_updates;
   Metrics.incr m_lp_time (int_of_float (s.lp_time_s *. 1e9));
-  Metrics.incr m_steals s.steals;
-  Metrics.set_max m_queue_depth s.max_queue_depth;
-  Metrics.incr m_pivots s.pivots;
-  Metrics.incr m_warm s.warm_starts;
-  Metrics.incr m_cold s.cold_starts;
-  Metrics.incr m_fallbacks s.fallbacks;
-  Metrics.incr m_absint_fixes s.absint_phase_fixes;
-  Metrics.incr m_absint_prunes s.absint_prunes;
-  Metrics.incr m_absint_hits s.absint_incr_hits;
-  Metrics.incr m_absint_propagated s.absint_layers_propagated;
-  Metrics.incr m_absint_saved s.absint_layers_saved;
-  Metrics.incr m_absint_evictions s.absint_cache_evictions
+  List.iter (fun export -> export s) m_counters
 
 (* ---- search state ---- *)
 
@@ -391,11 +367,10 @@ let run_dfs s w =
    to the pool where idle workers steal them, and whatever the batch
    budget did not reach is re-enqueued when the task ends. *)
 let run_pool s workers =
-  let batch = Stdlib.max 1 s.options.task_batch in
-  let max_local_stack = 8 in
+  let task_batch = 32 and max_local_stack = 8 in
   let process id root =
     let w = workers.(id) in
-    let budget = w.explored + batch in
+    let budget = w.explored + task_batch in
     let spilled = ref [] in (* shallowest-first across spill rounds *)
     (* The pool pushes the returned nodes in list order to this worker's
        deque: thieves take the front (the spilled subtrees), this worker
@@ -470,11 +445,6 @@ let classify s =
    start/end delta of the factory's aggregate, so a factory reused
    across solves still reports exactly this solve's work. *)
 let finish s workers ~guide_before ~steals ~max_queue_depth ~trace_t0 =
-  let gd =
-    match s.options.absint with
-    | None -> Milp.empty_guide_stats
-    | Some f -> sub_guide_stats (f.guide_stats ()) guide_before
-  in
   (* Release each handle and clear the worker's references: a worker
      record promoted during the search sits in the minor collector's
      remembered set, and a field still pointing at a young handle or
@@ -497,7 +467,8 @@ let finish s workers ~guide_before ~steals ~max_queue_depth ~trace_t0 =
   let nodes = Atomic.get s.nodes in
   let stats =
     {
-      Milp.nodes_explored = nodes;
+      Milp.empty_stats with
+      nodes_explored = nodes;
       lp_solved = nodes;
       incumbent_updates = Atomic.get s.updates;
       lp_time_s = Array.fold_left (fun acc w -> acc +. w.lp_time_s) 0.0 workers;
@@ -510,11 +481,17 @@ let finish s workers ~guide_before ~steals ~max_queue_depth ~trace_t0 =
       fallbacks = total (fun c -> c.Simplex.fallbacks);
       absint_phase_fixes = Atomic.get s.absint_fixes;
       absint_prunes = Atomic.get s.absint_prunes;
-      absint_incr_hits = gd.incr_hits;
-      absint_layers_propagated = gd.layers_propagated;
-      absint_layers_saved = gd.layers_saved;
-      absint_cache_evictions = gd.cache_evictions;
     }
+  in
+  let stats =
+    match s.options.absint with
+    | None -> stats
+    | Some f ->
+        let after = f.stats () in
+        List.fold_left
+          (fun acc (c : Milp.counter) ->
+            c.set acc (c.get acc + c.get after - c.get guide_before))
+          stats Milp.counters
   in
   let result = classify s in
   record_metrics stats;
@@ -545,8 +522,8 @@ let solve_with_stats ?(options = Milp.default_options) model =
   let s = new_search options model in
   let guide_before =
     match options.absint with
-    | None -> Milp.empty_guide_stats
-    | Some f -> f.guide_stats ()
+    | None -> Milp.empty_stats
+    | Some f -> f.stats ()
   in
   let workers = Array.init options.workers (fun _ -> new_worker ()) in
   let steals, max_queue_depth =

@@ -6,11 +6,11 @@
     plain depth-first list on the calling domain, the deterministic
     mode tests pin down.  Several workers share a work-stealing
     {!Pool} and one incumbent bound; each pool task is a {e subtree}
-    dive of up to [options.task_batch] node LPs on a worker-local stack
-    (spilling its shallowest open subtrees back to the pool for
-    thieves, re-enqueueing the rest when the batch budget runs out), so
-    pool overhead is paid once per batch and consecutive LPs reuse the
-    worker's warm basis.  [task_batch = 1] restores one-node tasks.
+    dive of up to 32 node LPs on a worker-local stack (spilling its
+    shallowest open subtrees back to the pool for thieves,
+    re-enqueueing the rest when the batch budget runs out), so pool
+    overhead is paid once per batch and consecutive LPs reuse the
+    worker's warm basis.
     Exploration {e order} differs between worker counts, but the answer
     does not: optimality and infeasibility proofs exhaust the same
     tree, so objective values and Infeasible/Timeout classifications

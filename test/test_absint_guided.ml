@@ -966,7 +966,7 @@ let consult_counted_solve ~scratch ~suffix ~head ~feature_box ~psi =
           fun node ->
             incr consults;
             g node);
-      guide_stats = factory.Milp.guide_stats;
+      stats = factory.Milp.stats;
     }
   in
   let options =

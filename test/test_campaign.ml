@@ -249,15 +249,22 @@ let test_shard_partition_covers () =
 
 (* The label/verdict multiset is the campaign's answer; sharding must
    preserve it exactly. *)
+let answer_word = function
+  | Campaign.Done r -> Campaign.verdict_word r.Verify.verdict
+  | Campaign.Crashed _ -> "crashed"
+  | Campaign.Skipped _ -> "skipped"
+
 let verdict_multiset (report : Campaign.report) =
   List.map
     (fun (qr : Campaign.query_report) ->
-      ( qr.Campaign.query.Campaign.label,
-        match qr.Campaign.outcome with
-        | Campaign.Done r -> Campaign.verdict_word r.Verify.verdict
-        | Campaign.Crashed _ -> "crashed"
-        | Campaign.Skipped _ -> "skipped" ))
+      (qr.Campaign.query.Campaign.label, answer_word qr.Campaign.outcome))
     report.Campaign.query_reports
+  |> List.sort compare
+
+let entry_multiset entries =
+  List.map
+    (fun (e : Journal.entry) -> (e.Journal.label, answer_word e.Journal.outcome))
+    entries
   |> List.sort compare
 
 (* Counters that are deterministic for sequential solves (runners=1,
@@ -272,30 +279,44 @@ let det_counters snap =
     (fun name -> (name, det_counter name snap))
     [ "campaign.queries"; "milp.nodes"; "milp.lps"; "simplex.pivots" ]
 
+(* Run shard [i] of [n] journaling to a temporary file and read the
+   journal back, as [dpv merge-journals] does. *)
+let journaled_shard ~n qs i =
+  with_temp_file @@ fun path ->
+  let r = Campaign.run ~runners:1 ~shard:(i, n) ~journal:path ~perception qs in
+  Alcotest.(check bool) "shard recorded in report" true
+    (r.Campaign.shard <> None);
+  match Journal.load_with_meta ~path with
+  | Ok x -> x
+  | Error e -> Alcotest.failf "shard journal unreadable: %s" e
+
+let merged_json ~entries ~metas =
+  match Json.of_string (Campaign.merged_to_json ~entries ~metas) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "merged report is not valid JSON: %s" e
+
 let test_shard_merge_equals_unsharded () =
   let qs = queries () in
   let whole = Campaign.run ~runners:1 ~perception qs in
   List.iter
     (fun n ->
-      let shards =
-        List.init n (fun i ->
-            Campaign.run ~runners:1 ~shard:(i, n) ~perception qs)
+      let entries, metas =
+        Campaign.merge_journals (List.init n (journaled_shard ~n qs))
       in
-      List.iter
-        (fun (r : Campaign.report) ->
-          Alcotest.(check bool) "shard recorded in report" true
-            (r.Campaign.shard <> None))
-        shards;
-      let merged = Campaign.merge_reports shards in
       Alcotest.(check bool) "merged report is whole-spec" true
-        (merged.Campaign.shard = None);
+        (Json.member "shard" (merged_json ~entries ~metas) = Some Json.Null);
       Alcotest.(check (list (pair string string)))
         (Printf.sprintf "%d-shard merge keeps the verdict multiset" n)
-        (verdict_multiset whole) (verdict_multiset merged);
+        (verdict_multiset whole) (entry_multiset entries);
+      let merged_metrics =
+        List.fold_left
+          (fun acc (m : Journal.meta) -> Metrics.merge acc m.Journal.metrics)
+          Metrics.empty_snapshot metas
+      in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "%d-shard merge sums deterministic counters" n)
         (det_counters whole.Campaign.metrics)
-        (det_counters merged.Campaign.metrics))
+        (det_counters merged_metrics))
     [ 1; 2; 3; 5 ]
 
 let test_shard_merge_with_crash_injection () =
@@ -303,31 +324,32 @@ let test_shard_merge_with_crash_injection () =
   let whole = Campaign.run ~runners:1 ~perception qs in
   let n = 2 in
   (* Crash the first solve of shard 0 only; shard 1 runs clean.  The
-     merged report must carry exactly one crashed query and keep every
+     merged journal must carry exactly one crashed query and keep every
      other verdict. *)
   let shard0 =
     Fun.protect ~finally:Faults.disable (fun () ->
         Faults.configure [ (Faults.Task_crash, 1) ];
-        Campaign.run ~runners:1 ~shard:(0, n) ~perception qs)
+        journaled_shard ~n qs 0)
   in
-  let shard1 = Campaign.run ~runners:1 ~shard:(1, n) ~perception qs in
-  let merged = Campaign.merge_reports [ shard0; shard1 ] in
-  Alcotest.(check int) "exactly one crash" 1 merged.Campaign.crashed;
-  Alcotest.(check bool) "merged report degraded" true merged.Campaign.degraded;
-  Alcotest.(check int) "no query lost"
-    (List.length whole.Campaign.query_reports)
-    (List.length merged.Campaign.query_reports);
-  let clean (ms : (string * string) list) =
-    List.filter (fun (_, v) -> v <> "crashed") ms
-  in
-  let whole_ms = verdict_multiset whole and merged_ms = verdict_multiset merged in
+  let shard1 = journaled_shard ~n qs 1 in
+  let entries, metas = Campaign.merge_journals [ shard0; shard1 ] in
+  let j = merged_json ~entries ~metas in
+  Alcotest.(check (option int)) "exactly one crash" (Some 1)
+    (Option.bind (Json.member "crashed" j) Json.to_int);
+  Alcotest.(check bool) "merged report degraded" true
+    (Json.member "degraded" j = Some (Json.Bool true));
+  let merged_ms = entry_multiset entries in
   Alcotest.(check int) "crash shows in the multiset" 1
     (List.length (List.filter (fun (_, v) -> v = "crashed") merged_ms));
+  Alcotest.(check int) "no query lost"
+    (List.length whole.Campaign.query_reports)
+    (List.length entries);
+  let whole_ms = verdict_multiset whole in
   List.iter
     (fun entry ->
       Alcotest.(check bool) "surviving verdicts match the unsharded run" true
         (List.mem entry whole_ms))
-    (clean merged_ms)
+    (List.filter (fun (_, v) -> v <> "crashed") merged_ms)
 
 let test_empty_shard_report_valid () =
   (* A slice can be empty (fewer queries than shards): the report must
@@ -410,20 +432,9 @@ let test_shard_journals_merge () =
     expected_exit
     (Campaign.worst_exit_code entries);
   (* The merged entry multiset matches the unsharded answer. *)
-  let entry_ms =
-    List.map
-      (fun (e : Journal.entry) ->
-        ( e.Journal.label,
-          match e.Journal.outcome with
-          | Campaign.Done r -> Campaign.verdict_word r.Verify.verdict
-          | Campaign.Crashed _ -> "crashed"
-          | Campaign.Skipped _ -> "skipped" ))
-      entries
-    |> List.sort compare
-  in
   Alcotest.(check (list (pair string string)))
     "merged journal verdicts equal the unsharded run" (verdict_multiset whole)
-    entry_ms;
+    (entry_multiset entries);
   ignore (r1 : Campaign.report);
   (* merged_to_json is a valid dpv-campaign/2 document with summed
      metrics. *)

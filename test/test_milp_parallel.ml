@@ -85,53 +85,38 @@ let test_parallel_agrees_on_random_milps () =
   done
 
 let test_task_batch_sizes_agree () =
-  (* The subtree batch size is a scheduling knob, never an answer knob:
-     single-node tasks (1), mid-size batches (4) and batches larger
-     than any of these trees (128) must classify every instance the
-     same and agree on the optimum. *)
+  (* Subtree batching is a scheduling choice, never an answer one: four
+     workers diving in batches must classify every instance like one
+     worker and agree on the optimum. *)
   let rng = Rng.create 4242 in
   for _ = 1 to 25 do
     let model = random_milp rng in
     let seq, _ = Milp_par.solve_with_stats ~options:seq_options model in
-    List.iter
-      (fun task_batch ->
-        let options = { par_options with Milp.task_batch } in
-        let par, stats = Milp_par.solve_with_stats ~options model in
-        let label = Printf.sprintf "task_batch=%d" task_batch in
-        Alcotest.(check string)
-          (label ^ ": classification agrees")
-          (classification seq) (classification par);
-        Alcotest.(check int)
-          (label ^ ": per-worker nodes sum to total")
-          stats.Milp.nodes_explored
-          (Array.fold_left ( + ) 0 stats.Milp.per_worker_nodes);
-        match (seq, par) with
-        | ( Milp.Optimal { objective = o1; _ },
-            Milp.Optimal { objective = o2; solution } ) ->
-            check_float (label ^ ": objective agrees") o1 o2;
-            Alcotest.(check bool)
-              (label ^ ": witness is feasible")
-              true
-              (Lp.check_feasible ~tol:1e-5 model solution)
-        | _ -> ())
-      [ 1; 4; 128 ]
+    let par, stats = Milp_par.solve_with_stats ~options:par_options model in
+    Alcotest.(check string)
+      "classification agrees" (classification seq) (classification par);
+    Alcotest.(check int) "per-worker nodes sum to total"
+      stats.Milp.nodes_explored
+      (Array.fold_left ( + ) 0 stats.Milp.per_worker_nodes);
+    match (seq, par) with
+    | Milp.Optimal { objective = o1; _ }, Milp.Optimal { objective = o2; solution } ->
+        check_float "objective agrees" o1 o2;
+        Alcotest.(check bool)
+          "witness is feasible" true
+          (Lp.check_feasible ~tol:1e-5 model solution)
+    | _ -> ()
   done
 
 let test_task_batch_infeasible_proof () =
-  (* An exhaustive infeasibility proof must visit the same tree no
-     matter how nodes are grouped into batches. *)
+  (* An exhaustive infeasibility proof must visit the same tree however
+     the nodes are grouped into batches. *)
   let model = hard_infeasible_model 10 in
   let _, seq_stats = Milp_par.solve_with_stats ~options:seq_options model in
-  List.iter
-    (fun task_batch ->
-      let options = { par_options with Milp.task_batch } in
-      let result, stats = Milp_par.solve_with_stats ~options model in
-      Alcotest.(check string) "proved infeasible" "infeasible"
-        (classification result);
-      Alcotest.(check int)
-        (Printf.sprintf "task_batch=%d explores the full tree" task_batch)
-        seq_stats.Milp.nodes_explored stats.Milp.nodes_explored)
-    [ 1; 4; 128 ]
+  let result, stats = Milp_par.solve_with_stats ~options:par_options model in
+  Alcotest.(check string) "proved infeasible" "infeasible"
+    (classification result);
+  Alcotest.(check int) "4 workers explore the full tree"
+    seq_stats.Milp.nodes_explored stats.Milp.nodes_explored
 
 let test_parallel_find_first_agrees () =
   let rng = Rng.create 777 in

@@ -620,6 +620,261 @@ let test_trace_context_tags_events () =
       | Some "job-A" -> ()
       | _ -> Alcotest.fail "span args missing the trace id")
 
+(* ---- solver counters ---- *)
+
+type export = Counter of string | Gauge of string
+
+(* Which name carries which [Milp.stats] field, written out by hand so
+   that no test derives it from [Milp.counters]: the field, its journal
+   key, its campaign-report key and its metric.  [lp_time_s] (journal
+   and report key "lp_time_s", metric "milp.lp_time_ns") and
+   [per_worker_nodes] (journal only) are checked on their own. *)
+let int_fields =
+  [
+    ((fun s -> s.Milp.nodes_explored), "nodes_explored", "nodes",
+     Counter "milp.nodes");
+    ((fun s -> s.Milp.lp_solved), "lp_solved", "lps", Counter "milp.lps");
+    ((fun s -> s.Milp.incumbent_updates), "incumbent_updates",
+     "incumbent_updates", Counter "milp.incumbent_updates");
+    ((fun s -> s.Milp.steals), "steals", "steals", Counter "milp.steals");
+    ((fun s -> s.Milp.max_queue_depth), "max_queue_depth", "max_queue_depth",
+     Gauge "milp.max_queue_depth");
+    ((fun s -> s.Milp.pivots), "pivots", "pivots", Counter "simplex.pivots");
+    ((fun s -> s.Milp.warm_starts), "warm_starts", "warm_starts",
+     Counter "simplex.warm_starts");
+    ((fun s -> s.Milp.cold_starts), "cold_starts", "cold_starts",
+     Counter "simplex.cold_starts");
+    ((fun s -> s.Milp.fallbacks), "fallbacks", "fallbacks",
+     Counter "simplex.fallbacks");
+    ((fun s -> s.Milp.absint_phase_fixes), "absint_phase_fixes",
+     "absint_phase_fixes", Counter "absint.phase_fixes");
+    ((fun s -> s.Milp.absint_prunes), "absint_prunes", "absint_prunes",
+     Counter "absint.prunes");
+    ((fun s -> s.Milp.absint_incr_hits), "absint_incr_hits",
+     "absint_incr_hits", Counter "absint.incr_hits");
+    ((fun s -> s.Milp.absint_layers_propagated), "absint_layers_propagated",
+     "absint_layers_propagated", Counter "absint.layers_propagated");
+    ((fun s -> s.Milp.absint_layers_saved), "absint_layers_saved",
+     "absint_layers_saved", Counter "absint.layers_saved");
+    ((fun s -> s.Milp.absint_cache_evictions), "absint_cache_evictions",
+     "absint_cache_evictions", Counter "absint.cache_evictions");
+  ]
+
+(* A distinct value in every field: base + 1 .. base + 18 in
+   declaration order, [lp_time_s] a binary fraction. *)
+let distinct_stats base =
+  {
+    Milp.nodes_explored = base + 1;
+    lp_solved = base + 2;
+    incumbent_updates = base + 3;
+    lp_time_s = float_of_int (base + 4) /. 16.0;
+    per_worker_nodes = [| base + 5; base + 6 |];
+    steals = base + 7;
+    max_queue_depth = base + 8;
+    pivots = base + 9;
+    warm_starts = base + 10;
+    cold_starts = base + 11;
+    fallbacks = base + 12;
+    absint_phase_fixes = base + 13;
+    absint_prunes = base + 14;
+    absint_incr_hits = base + 15;
+    absint_layers_propagated = base + 16;
+    absint_layers_saved = base + 17;
+    absint_cache_evictions = base + 18;
+  }
+
+let done_entry stats =
+  {
+    Journal.key = "k";
+    label = "q";
+    outcome =
+      Journal.Done
+        {
+          Verify.verdict = Verify.Safe { conditional = false };
+          milp_stats = stats;
+          encoding = "e";
+          num_binaries = 0;
+          wall_time_s = 0.5;
+        };
+    attempts = 1;
+    dense_retry = false;
+    deadline_retry = false;
+  }
+
+let with_temp_file f =
+  let path = Filename.temp_file "dpv_test_obs_journal" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let json_exn what = function
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s does not parse: %s" what e
+
+let member_exn name j =
+  match Json.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "no %S member" name
+
+let num = Alcotest.(option (float 0.0))
+
+let check_key_count what expected = function
+  | Json.Obj fields ->
+      Alcotest.(check int) (what ^ " carries no other key") expected
+        (List.length fields)
+  | _ -> Alcotest.failf "%s is not an object" what
+
+let test_counter_keys_carry_their_fields () =
+  let stats = distinct_stats 100 in
+  with_temp_file @@ fun path ->
+  Journal.save ~path [ done_entry stats ];
+  let line = String.trim (In_channel.with_open_text path In_channel.input_all) in
+  let milp =
+    member_exn "milp"
+      (member_exn "result" (json_exn "journal line" (Json.of_string line)))
+  in
+  List.iter
+    (fun (get, key, _, _) ->
+      Alcotest.check num ("journal key " ^ key)
+        (Some (float_of_int (get stats)))
+        (Option.bind (Json.member key milp) Json.to_float))
+    int_fields;
+  Alcotest.check num "journal key lp_time_s" (Some stats.Milp.lp_time_s)
+    (Option.bind (Json.member "lp_time_s" milp) Json.to_float);
+  Alcotest.(check (option (list int))) "journal key per_worker_nodes"
+    (Some (Array.to_list stats.Milp.per_worker_nodes))
+    (Option.map
+       (List.filter_map Json.to_int)
+       (Option.bind (Json.member "per_worker_nodes" milp) Json.to_list));
+  check_key_count "journal milp" (List.length int_fields + 2) milp;
+  let entries =
+    match Journal.load ~path with
+    | Ok es -> es
+    | Error e -> Alcotest.failf "journal does not load: %s" e
+  in
+  (match entries with
+  | [ { Journal.outcome = Journal.Done r; _ } ] ->
+      Alcotest.(check bool) "load returns the saved record" true
+        (r.Verify.milp_stats = stats)
+  | _ -> Alcotest.fail "expected one done entry");
+  let report =
+    json_exn "merged report"
+      (Json.of_string (Campaign.merged_to_json ~entries ~metas:[]))
+  in
+  let milp =
+    match Option.bind (Json.member "queries" report) Json.to_list with
+    | Some [ q ] -> member_exn "milp" q
+    | _ -> Alcotest.fail "expected one query record"
+  in
+  List.iter
+    (fun (get, _, key, _) ->
+      Alcotest.check num ("report key " ^ key)
+        (Some (float_of_int (get stats)))
+        (Option.bind (Json.member key milp) Json.to_float))
+    int_fields;
+  Alcotest.check num "report key lp_time_s" (Some stats.Milp.lp_time_s)
+    (Option.bind (Json.member "lp_time_s" milp) Json.to_float);
+  check_key_count "report milp" (List.length int_fields + 1) milp;
+  let a = distinct_stats 100 and b = distinct_stats 1000 in
+  let sum = Milp.add_stats a b in
+  List.iter
+    (fun (get, key, _, export) ->
+      let expected =
+        match export with
+        | Counter _ -> get a + get b
+        | Gauge _ -> max (get a) (get b)
+      in
+      Alcotest.(check int) ("add_stats " ^ key) expected (get sum))
+    int_fields;
+  Alcotest.(check (float 0.0)) "add_stats lp_time_s"
+    (a.Milp.lp_time_s +. b.Milp.lp_time_s) sum.Milp.lp_time_s;
+  Alcotest.(check (array int)) "add_stats per_worker_nodes" [| 1110; 1112 |]
+    sum.Milp.per_worker_nodes
+
+(* Lines exactly as journals before the counter table wrote them: every
+   key in that order, and (older still) without the absint_* keys. *)
+let earlier_line =
+  {|{"key": "k1", "label": "q1", "outcome": "done", "attempts": 1, "dense_retry": false, "deadline_retry": false, "result": {"verdict": "safe", "conditional": false, "encoding": "e", "num_binaries": 0, "wall_time_s": 0.5, "milp": {"nodes_explored": 1, "lp_solved": 2, "incumbent_updates": 3, "lp_time_s": 0.5, "per_worker_nodes": [4, 5], "steals": 6, "max_queue_depth": 7, "pivots": 8, "warm_starts": 9, "cold_starts": 10, "fallbacks": 11, "absint_phase_fixes": 12, "absint_prunes": 13, "absint_incr_hits": 14, "absint_layers_propagated": 15, "absint_layers_saved": 16, "absint_cache_evictions": 17}}}|}
+
+let pre_absint_line =
+  {|{"key": "k2", "label": "q2", "outcome": "done", "attempts": 1, "dense_retry": false, "deadline_retry": false, "result": {"verdict": "safe", "conditional": false, "encoding": "e", "num_binaries": 0, "wall_time_s": 0.5, "milp": {"nodes_explored": 1, "lp_solved": 2, "incumbent_updates": 3, "lp_time_s": 0.5, "per_worker_nodes": [4, 5], "steals": 6, "max_queue_depth": 7, "pivots": 8, "warm_starts": 9, "cold_starts": 10, "fallbacks": 11}}}|}
+
+let load_lines lines =
+  with_temp_file @@ fun path ->
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  Journal.load ~path
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not in line" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let test_journal_reads_earlier_lines () =
+  let expected =
+    {
+      Milp.nodes_explored = 1;
+      lp_solved = 2;
+      incumbent_updates = 3;
+      lp_time_s = 0.5;
+      per_worker_nodes = [| 4; 5 |];
+      steals = 6;
+      max_queue_depth = 7;
+      pivots = 8;
+      warm_starts = 9;
+      cold_starts = 10;
+      fallbacks = 11;
+      absint_phase_fixes = 12;
+      absint_prunes = 13;
+      absint_incr_hits = 14;
+      absint_layers_propagated = 15;
+      absint_layers_saved = 16;
+      absint_cache_evictions = 17;
+    }
+  in
+  let no_absint =
+    {
+      expected with
+      absint_phase_fixes = 0;
+      absint_prunes = 0;
+      absint_incr_hits = 0;
+      absint_layers_propagated = 0;
+      absint_layers_saved = 0;
+      absint_cache_evictions = 0;
+    }
+  in
+  (match load_lines [ earlier_line; pre_absint_line ] with
+  | Ok
+      [
+        { Journal.outcome = Journal.Done r1; _ };
+        { Journal.outcome = Journal.Done r2; _ };
+      ] ->
+      Alcotest.(check bool) "every key in the earlier order" true
+        (r1.Verify.milp_stats = expected);
+      Alcotest.(check bool) "absint keys missing read 0" true
+        (r2.Verify.milp_stats = no_absint)
+  | Ok _ -> Alcotest.fail "expected two done entries"
+  | Error e -> Alcotest.failf "earlier journal lines rejected: %s" e);
+  let rejects label line message =
+    Alcotest.(check (result reject string)) label (Error message)
+      (Result.map ignore (load_lines [ line ]))
+  in
+  rejects "a line without pivots"
+    (replace ~sub:{|"pivots": 8, |} ~by:"" earlier_line)
+    {|line 1: missing or ill-typed field "pivots"|};
+  rejects "an ill-typed optional counter"
+    (replace ~sub:{|"absint_prunes": 13|} ~by:{|"absint_prunes": "13"|}
+       earlier_line)
+    {|line 1: missing or ill-typed field "absint_prunes"|};
+  rejects "a fractional per-worker node count"
+    (replace ~sub:"[4, 5]" ~by:"[4.5, 5]" earlier_line)
+    {|line 1: non-integer in array "per_worker_nodes"|}
+
 (* ---- campaign round-trip ---- *)
 
 (* Tiny deterministic pipeline, same shape as the fault-injection
@@ -679,23 +934,30 @@ let metric_exn snap name =
 
 let test_campaign_metrics_agree_with_stats () =
   Dpv_linprog.Faults.disable ();
-  let report = Campaign.run ~runners:1 ~perception (queries ()) in
+  (* The guide is armed so that its counters are not all zero: a metric
+     carrying the wrong field then shows. *)
+  let report = Campaign.run ~runners:1 ~absint:true ~perception (queries ()) in
   let stats = done_stats report in
   Alcotest.(check int) "all queries settled Done" 3 (List.length stats);
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
   let m = report.Campaign.metrics in
-  Alcotest.(check int) "pivots agree"
-    (sum (fun s -> s.Milp.pivots))
-    (metric_exn m "simplex.pivots");
-  Alcotest.(check int) "warm starts agree"
-    (sum (fun s -> s.Milp.warm_starts))
-    (metric_exn m "simplex.warm_starts");
-  Alcotest.(check int) "cold starts agree"
-    (sum (fun s -> s.Milp.cold_starts))
-    (metric_exn m "simplex.cold_starts");
-  Alcotest.(check int) "nodes agree"
-    (sum (fun s -> s.Milp.nodes_explored))
-    (metric_exn m "milp.nodes");
+  List.iter
+    (fun (get, _, _, export) ->
+      match export with
+      | Counter name ->
+          Alcotest.(check int) (name ^ " agrees") (sum get) (metric_exn m name)
+      | Gauge name -> (
+          (* A gauge is the process-wide high water, so it covers every
+             query's value but may come from an earlier solve. *)
+          let high = List.fold_left (fun acc s -> max acc (get s)) 0 stats in
+          match Metrics.gauge_in m name with
+          | Some v when v >= high -> ()
+          | Some v -> Alcotest.failf "%s = %d is below %d" name v high
+          | None -> Alcotest.failf "gauge %s missing" name))
+    int_fields;
+  Alcotest.(check int) "milp.lp_time_ns agrees"
+    (sum (fun s -> int_of_float (s.Milp.lp_time_s *. 1e9)))
+    (metric_exn m "milp.lp_time_ns");
   Alcotest.(check int) "one solve per query" 3 (metric_exn m "milp.solves");
   Alcotest.(check int) "cache hits agree" report.Campaign.cache.Campaign.hits
     (metric_exn m "campaign.cache_hits");
@@ -781,12 +1043,6 @@ let test_campaign_trace_covers_run () =
            events))
 
 (* ---- journal fast path ---- *)
-
-let with_temp_file f =
-  let path = Filename.temp_file "dpv_test_obs_journal" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
@@ -881,6 +1137,10 @@ let tests =
       test_span_exception_reraised;
     Alcotest.test_case "pool workers get labelled tracks" `Quick
       test_pool_worker_spans;
+    Alcotest.test_case "counter keys carry their fields" `Quick
+      test_counter_keys_carry_their_fields;
+    Alcotest.test_case "journal reads earlier lines" `Quick
+      test_journal_reads_earlier_lines;
     Alcotest.test_case "campaign metrics equal legacy stats" `Quick
       test_campaign_metrics_agree_with_stats;
     Alcotest.test_case "campaign report embeds dpv-metrics/1" `Quick
