@@ -591,6 +591,7 @@ let ext4 mlp_prepared =
    The one-worker work counts are pinned by the tier-1 test "golden:
    smoke MILP counts", which builds the same two models. *)
 
+module Json = Dpv_obs.Json
 module Milp_par = Dpv_linprog.Milp_par
 module Clock = Dpv_linprog.Clock
 module Lp = Dpv_linprog.Lp
@@ -673,36 +674,43 @@ let compute_speedups queries =
 let write_bench_json ~par_workers ~degraded ~queries ~speedups =
   let query_json q =
     let s = q.bq_stats in
-    Printf.sprintf
-      "    {\"name\": %S, \"workers\": %d, \"verdict\": %S, \
-       \"wall_s\": %.6f, \"nodes\": %d, \"lps\": %d, \"steals\": %d, \
-       \"max_queue_depth\": %d, \"lp_time_s\": %.6f, \"pivots\": %d, \
-       \"warm_starts\": %d, \"cold_starts\": %d, \
-       \"warm_start_hit_rate\": %.4f}"
-      q.bq_name q.bq_workers q.bq_verdict q.bq_wall s.Milp.nodes_explored
-      s.Milp.lp_solved s.Milp.steals s.Milp.max_queue_depth s.Milp.lp_time_s
-      s.Milp.pivots s.Milp.warm_starts s.Milp.cold_starts (warm_rate s)
+    Json.Obj
+      [
+        ("name", Json.Str q.bq_name);
+        ("workers", Json.int q.bq_workers);
+        ("verdict", Json.Str q.bq_verdict);
+        ("wall_s", Json.Num q.bq_wall);
+        ("nodes", Json.int s.Milp.nodes_explored);
+        ("lps", Json.int s.Milp.lp_solved);
+        ("steals", Json.int s.Milp.steals);
+        ("max_queue_depth", Json.int s.Milp.max_queue_depth);
+        ("lp_time_s", Json.Num s.Milp.lp_time_s);
+        ("pivots", Json.int s.Milp.pivots);
+        ("warm_starts", Json.int s.Milp.warm_starts);
+        ("cold_starts", Json.int s.Milp.cold_starts);
+        ("warm_start_hit_rate", Json.Num (warm_rate s));
+      ]
   in
   let speedup_json (name, factor) =
-    Printf.sprintf "    {\"query\": %S, \"factor\": %.4f}" name factor
+    Json.Obj [ ("query", Json.Str name); ("factor", Json.Num factor) ]
   in
   let oc = open_out bench_json_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"dpv-bench-milp/8\",\n\
-        \  \"host_recommended_domains\": %d,\n\
-        \  \"parallel_workers\": %d,\n\
-        \  \"degraded\": %b,\n\
-        \  \"queries\": [\n%s\n  ],\n\
-        \  \"speedups\": [\n%s\n  ]\n\
-         }\n"
-        (Domain.recommended_domain_count ())
-        par_workers degraded
-        (String.concat ",\n" (List.map query_json queries))
-        (String.concat ",\n" (List.map speedup_json speedups)));
+      output_string oc
+        (Json.encode ~indent:2
+           (Json.Obj
+              [
+                ("schema", Json.Str "dpv-bench-milp/8");
+                ( "host_recommended_domains",
+                  Json.int (Domain.recommended_domain_count ()) );
+                ("parallel_workers", Json.int par_workers);
+                ("degraded", Json.Bool degraded);
+                ("queries", Json.Arr (List.map query_json queries));
+                ("speedups", Json.Arr (List.map speedup_json speedups));
+              ]));
+      output_char oc '\n');
   Format.printf "@.written to %s@." bench_json_path
 
 let run_smoke () =

@@ -14,7 +14,7 @@ module Workflow = Dpv_core.Workflow
 module Verify = Dpv_core.Verify
 module Report = Dpv_core.Report
 module Specfile = Dpv_core.Specfile
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 module Server = Dpv_serve.Server
 module Sclient = Dpv_serve.Client
 module Metrics = Dpv_obs.Metrics
@@ -714,7 +714,7 @@ let client_cmd =
                        @ (match name with
                          | None -> []
                          | Some n -> [ ("name", Json.Str n) ])
-                       @ [ ("priority", Json.Num (float_of_int priority)) ]
+                       @ [ ("priority", Json.int priority) ]
                        @ opt_num "budget_s" budget_s
                        @ opt_num "deadline_s" deadline_s
                        @
@@ -857,7 +857,7 @@ let top_cmd =
           ::
           (match since with
           | None -> []
-          | Some c -> [ ("since", Json.Num (float_of_int c)) ]))
+          | Some c -> [ ("since", Json.int c) ]))
       in
       match Sclient.rpc fd (Json.encode req) with
       | Error e -> Error e
@@ -870,7 +870,7 @@ let top_cmd =
               match Json.member "metrics" j with
               | None -> Error "reply carries no metrics"
               | Some m -> (
-                  match Dpv_core.Journal.parse_metrics ~line:0 m with
+                  match Metrics.of_json ~line:0 m with
                   | Error e -> Error e
                   | Ok snap -> Ok (cursor, is_delta, snap))))
     in

@@ -548,83 +548,89 @@ let verdict_detail = function
    between {!to_json} (which has full query_reports) and
    {!merged_to_json} (which reconstructs records from journal entries,
    where every query is by definition [from_journal]). *)
-let buf_query_record b ~last ~label ~(outcome : outcome) ~from_cache
-    ~from_journal ~attempts ~dense_retry ~deadline_retry =
-  Printf.bprintf b "    {\n";
-  Printf.bprintf b "      \"label\": %S,\n" label;
-  Printf.bprintf b "      \"outcome\": %S,\n" (outcome_word outcome);
-  (match outcome with
-  | Done r ->
-      Printf.bprintf b "      \"verdict\": %S,\n" (verdict_word r.Verify.verdict);
-      Printf.bprintf b "      \"detail\": %S,\n" (verdict_detail r.Verify.verdict)
-  | Crashed reason | Skipped reason ->
-      Printf.bprintf b "      \"verdict\": null,\n";
-      Printf.bprintf b "      \"detail\": %S,\n" reason);
-  Printf.bprintf b "      \"from_cache\": %b,\n" from_cache;
-  Printf.bprintf b "      \"from_journal\": %b,\n" from_journal;
-  Printf.bprintf b "      \"attempts\": %d,\n" attempts;
-  Printf.bprintf b "      \"dense_retry\": %b,\n" dense_retry;
-  Printf.bprintf b "      \"deadline_retry\": %b" deadline_retry;
-  (match outcome with
-  | Done r ->
-      let s = r.Verify.milp_stats in
-      Printf.bprintf b ",\n      \"wall_s\": %.4f,\n" r.Verify.wall_time_s;
-      Printf.bprintf b "      \"encoding\": %S,\n" r.Verify.encoding;
-      Printf.bprintf b "      \"num_binaries\": %d,\n" r.Verify.num_binaries;
-      Buffer.add_string b "      \"milp\": { ";
-      List.iter
-        (fun (c : Milp.counter) ->
-          Printf.bprintf b "%S: %d, " c.report (c.get s))
-        Milp.counters;
-      Printf.bprintf b "\"lp_time_s\": %.4f }\n" s.Milp.lp_time_s
-  | Crashed _ | Skipped _ -> Buffer.add_string b "\n");
-  Printf.bprintf b "    }%s\n" (if last then "" else ",")
+let query_json ~label ~(outcome : outcome) ~from_cache ~from_journal ~attempts
+    ~dense_retry ~deadline_retry =
+  let verdict, detail, work =
+    match outcome with
+    | Done r ->
+        let s = r.Verify.milp_stats in
+        let milp =
+          List.map
+            (fun (c : Milp.counter) -> (c.report, Json.int (c.get s)))
+            Milp.counters
+          @ [ ("lp_time_s", Json.Num s.Milp.lp_time_s) ]
+        in
+        ( Json.Str (verdict_word r.Verify.verdict),
+          verdict_detail r.Verify.verdict,
+          [
+            ("wall_s", Json.Num r.Verify.wall_time_s);
+            ("encoding", Json.Str r.Verify.encoding);
+            ("num_binaries", Json.int r.Verify.num_binaries);
+            ("milp", Json.Obj milp);
+          ] )
+    | Crashed reason | Skipped reason -> (Json.Null, reason, [])
+  in
+  Json.Obj
+    ([
+       ("label", Json.Str label);
+       ("outcome", Json.Str (outcome_word outcome));
+       ("verdict", verdict);
+       ("detail", Json.Str detail);
+       ("from_cache", Json.Bool from_cache);
+       ("from_journal", Json.Bool from_journal);
+       ("attempts", Json.int attempts);
+       ("dense_retry", Json.Bool dense_retry);
+       ("deadline_retry", Json.Bool deadline_retry);
+     ]
+    @ work)
 
-(* BENCH_milp.json style: hand-rolled, schema-tagged, machine-readable.
-   %S escaping covers the strings we emit (ASCII labels and reasons). *)
+(* The dpv-campaign/2 document of [r]'s totals with the query records
+   [queries] (a merged partition has records but no [query_reports]).
+   Three levels take one member per line: down to one line per
+   histogram and per [milp] object. *)
+let report_document (r : report) queries =
+  let opt f = function None -> Json.Null | Some v -> f v in
+  let shard (i, n) =
+    Json.Obj [ ("index", Json.int i); ("count", Json.int n) ]
+  in
+  Json.encode ~indent:3
+    (Json.Obj
+       [
+         ("schema", Json.Str "dpv-campaign/2");
+         ("runners", Json.int r.runners);
+         ("shard", opt shard r.shard);
+         ("budget_s", opt (fun s -> Json.Num s) r.budget_s);
+         ("total_wall_s", Json.Num r.total_wall_s);
+         ("degraded", Json.Bool r.degraded);
+         ("crashed", Json.int r.crashed);
+         ("skipped", Json.int r.skipped);
+         ("retried", Json.int r.retried);
+         ("resumed", Json.int r.resumed);
+         ("journal_write_failures", Json.int r.journal_write_failures);
+         ( "cache",
+           Json.Obj
+             [
+               ("entries", Json.int r.cache.entries);
+               ("hits", Json.int r.cache.hits);
+               ("misses", Json.int r.cache.misses);
+             ] );
+         ("metrics", Metrics.to_json r.metrics);
+         ("queries", Json.Arr queries);
+       ])
+  ^ "\n"
+
 let to_json report =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"schema\": \"dpv-campaign/2\",\n";
-  Printf.bprintf b "  \"runners\": %d,\n" report.runners;
-  (match report.shard with
-  | None -> Printf.bprintf b "  \"shard\": null,\n"
-  | Some (i, n) ->
-      Printf.bprintf b "  \"shard\": { \"index\": %d, \"count\": %d },\n" i n);
-  (match report.budget_s with
-  | None -> Printf.bprintf b "  \"budget_s\": null,\n"
-  | Some s -> Printf.bprintf b "  \"budget_s\": %.3f,\n" s);
-  Printf.bprintf b "  \"total_wall_s\": %.4f,\n" report.total_wall_s;
-  Printf.bprintf b "  \"degraded\": %b,\n" report.degraded;
-  Printf.bprintf b "  \"crashed\": %d,\n" report.crashed;
-  Printf.bprintf b "  \"skipped\": %d,\n" report.skipped;
-  Printf.bprintf b "  \"retried\": %d,\n" report.retried;
-  Printf.bprintf b "  \"resumed\": %d,\n" report.resumed;
-  Printf.bprintf b "  \"journal_write_failures\": %d,\n"
-    report.journal_write_failures;
-  Printf.bprintf b
-    "  \"cache\": { \"entries\": %d, \"hits\": %d, \"misses\": %d },\n"
-    report.cache.entries report.cache.hits report.cache.misses;
-  Buffer.add_string b "  \"metrics\": ";
-  Metrics.buf_snapshot ~indent:"  " b report.metrics;
-  Buffer.add_string b ",\n";
-  Printf.bprintf b "  \"queries\": [\n";
-  let n = List.length report.query_reports in
-  List.iteri
-    (fun i qr ->
-      buf_query_record b ~last:(i = n - 1) ~label:qr.query.label
-        ~outcome:qr.outcome ~from_cache:qr.from_cache
-        ~from_journal:qr.from_journal ~attempts:qr.attempts
-        ~dense_retry:qr.dense_retry ~deadline_retry:qr.deadline_retry)
-    report.query_reports;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  report_document report
+    (List.map
+       (fun qr ->
+         query_json ~label:qr.query.label ~outcome:qr.outcome
+           ~from_cache:qr.from_cache ~from_journal:qr.from_journal
+           ~attempts:qr.attempts ~dense_retry:qr.dense_retry
+           ~deadline_retry:qr.deadline_retry)
+       report.query_reports)
 
 let save_json report ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json report))
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_json report))
 
 (* ---- Shard merging ------------------------------------------------ *)
 
@@ -709,35 +715,27 @@ let merged_to_json ~entries ~metas =
       0.0 metas
   in
   let misses = counter "campaign.cache_misses" in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"schema\": \"dpv-campaign/2\",\n";
-  Printf.bprintf b "  \"runners\": %d,\n" runners;
-  Printf.bprintf b "  \"shard\": null,\n";
-  Printf.bprintf b "  \"budget_s\": null,\n";
-  Printf.bprintf b "  \"total_wall_s\": %.4f,\n" total_wall_s;
-  Printf.bprintf b "  \"degraded\": %b,\n" (crashed > 0 || skipped > 0);
-  Printf.bprintf b "  \"crashed\": %d,\n" crashed;
-  Printf.bprintf b "  \"skipped\": %d,\n" skipped;
-  Printf.bprintf b "  \"retried\": %d,\n" retried;
-  Printf.bprintf b "  \"resumed\": %d,\n" (List.length entries);
-  Printf.bprintf b "  \"journal_write_failures\": %d,\n"
-    (counter "journal.write_failures");
-  Printf.bprintf b
-    "  \"cache\": { \"entries\": %d, \"hits\": %d, \"misses\": %d },\n" misses
-    (counter "campaign.cache_hits")
-    misses;
-  Buffer.add_string b "  \"metrics\": ";
-  Metrics.buf_snapshot ~indent:"  " b metrics;
-  Buffer.add_string b ",\n";
-  Printf.bprintf b "  \"queries\": [\n";
-  let n = List.length entries in
-  List.iteri
-    (fun i (e : Journal.entry) ->
-      buf_query_record b ~last:(i = n - 1) ~label:e.Journal.label
-        ~outcome:e.Journal.outcome ~from_cache:false ~from_journal:true
-        ~attempts:e.Journal.attempts ~dense_retry:e.Journal.dense_retry
-        ~deadline_retry:e.Journal.deadline_retry)
-    entries;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  report_document
+    {
+      query_reports = [];
+      cache =
+        { entries = misses; hits = counter "campaign.cache_hits"; misses };
+      runners;
+      shard = None;
+      budget_s = None;
+      total_wall_s;
+      degraded = crashed > 0 || skipped > 0;
+      crashed;
+      skipped;
+      retried;
+      resumed = List.length entries;
+      journal_write_failures = counter "journal.write_failures";
+      metrics;
+    }
+    (List.map
+       (fun (e : Journal.entry) ->
+         query_json ~label:e.Journal.label ~outcome:e.Journal.outcome
+           ~from_cache:false ~from_journal:true ~attempts:e.Journal.attempts
+           ~dense_retry:e.Journal.dense_retry
+           ~deadline_retry:e.Journal.deadline_retry)
+       entries)

@@ -109,8 +109,4 @@ val result_of_entry : entry -> Verify.result option
 
 val parse_metrics :
   line:int -> Json.t -> (Dpv_obs.Metrics.snapshot, string) result
-(** Parse a [dpv-metrics/1] JSON object (the ["metrics"] member of a
-    meta trailer, a campaign report, or a serve metrics reply) back
-    into a snapshot.  [line] seeds error messages.  Derived fields
-    ([p50_ns] etc.) are ignored; a missing ["rates"] object (pre
-    dpv-obs/2) reads as empty. *)
+(** {!Dpv_obs.Metrics.of_json}, under the name earlier callers use. *)

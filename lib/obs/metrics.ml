@@ -331,57 +331,89 @@ let quantile_of_hist h ~q =
 
 (* ---------------- dpv-metrics/1 JSON ---------------- *)
 
-let buf_obj b ~indent entries emit =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n%s    " indent;
-      emit e)
-    entries;
-  if entries <> [] then Printf.bprintf b "\n%s  " indent;
-  Buffer.add_char b '}'
+let int_obj entries =
+  Json.Obj (List.map (fun (name, v) -> (name, Json.int v)) entries)
 
-let buf_snapshot ?(indent = "") b snap =
-  Printf.bprintf b "{\n%s  \"schema\": \"dpv-metrics/1\",\n" indent;
-  Printf.bprintf b "%s  \"counters\": " indent;
-  buf_obj b ~indent snap.snap_counters (fun (name, v) ->
-      Printf.bprintf b "%S: %d" name v);
-  Printf.bprintf b ",\n%s  \"gauges\": " indent;
-  buf_obj b ~indent snap.snap_gauges (fun (name, v) ->
-      Printf.bprintf b "%S: %d" name v);
-  (* Sampled rate gauges live under their own key so shard-merging
-     consumers cannot mistake them for summable or maxable-as-depth
-     values; histograms additionally carry derived percentiles. *)
-  Printf.bprintf b ",\n%s  \"rates\": " indent;
-  buf_obj b ~indent snap.snap_rates (fun (name, v) ->
-      Printf.bprintf b "%S: %d" name v);
-  Printf.bprintf b ",\n%s  \"histograms\": " indent;
-  buf_obj b ~indent snap.snap_histograms (fun (name, h) ->
-      Printf.bprintf b "%S: {\"count\": %d, \"sum_ns\": %d" name h.count h.sum;
-      if h.count > 0 then
-        Printf.bprintf b ", \"p50_ns\": %.0f, \"p90_ns\": %.0f, \"p99_ns\": %.0f"
-          (quantile_of_hist h ~q:0.5)
-          (quantile_of_hist h ~q:0.9)
-          (quantile_of_hist h ~q:0.99);
-      Buffer.add_string b ", \"buckets\": [";
-      List.iteri
-        (fun i (up, n) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Printf.bprintf b "[%d, %d]" up n)
-        h.buckets;
-      Buffer.add_string b "]}");
-  Printf.bprintf b "\n%s}" indent
+(* Sampled rate gauges live under their own key so shard-merging
+   consumers cannot mistake them for summable or maxable-as-depth
+   values; histograms additionally carry derived percentiles. *)
+let to_json snap =
+  let histogram h =
+    let percentiles =
+      if h.count = 0 then []
+      else
+        List.map
+          (fun (key, q) ->
+            (key, Json.Num (Float.round (quantile_of_hist h ~q))))
+          [ ("p50_ns", 0.5); ("p90_ns", 0.9); ("p99_ns", 0.99) ]
+    in
+    let bucket (up, n) = Json.Arr [ Json.int up; Json.int n ] in
+    Json.Obj
+      ([ ("count", Json.int h.count); ("sum_ns", Json.int h.sum) ]
+      @ percentiles
+      @ [ ("buckets", Json.Arr (List.map bucket h.buckets)) ])
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "dpv-metrics/1");
+      ("counters", int_obj snap.snap_counters);
+      ("gauges", int_obj snap.snap_gauges);
+      ("rates", int_obj snap.snap_rates);
+      ( "histograms",
+        Json.Obj
+          (List.map (fun (name, h) -> (name, histogram h)) snap.snap_histograms)
+      );
+    ]
 
-let to_json ?indent snap =
-  let b = Buffer.create 1024 in
-  buf_snapshot ?indent b snap;
-  Buffer.contents b
+let of_json ~line j =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let ints =
+    List.map (fun (name, v) ->
+        match Json.to_int v with
+        | Some n -> (name, n)
+        | None -> bad "metric %S is not an integer" name)
+  in
+  let obj name =
+    match Json.member name j with
+    | Some (Json.Obj fs) -> fs
+    | _ -> bad "metrics missing object %S" name
+  in
+  let histogram (name, v) =
+    let field key conv =
+      match Option.bind (Json.member key v) conv with
+      | Some x -> x
+      | None -> bad "missing or ill-typed field %S" key
+    in
+    let bucket b =
+      match Option.map (List.filter_map Json.to_int) (Json.to_list b) with
+      | Some [ up; n ] -> (up, n)
+      | _ -> bad "bad bucket in histogram %S" name
+    in
+    let count = field "count" Json.to_int in
+    let sum = field "sum_ns" Json.to_int in
+    let buckets = List.map bucket (field "buckets" Json.to_list) in
+    (name, { count; sum; buckets })
+  in
+  (* Snapshots carry a name-sorted invariant ([merge] relies on it);
+     re-sort on input rather than trusting the file. *)
+  let sorted l = List.sort by_name l in
+  match
+    let snap_counters = sorted (ints (obj "counters")) in
+    let snap_gauges = sorted (ints (obj "gauges")) in
+    (* "rates" arrived with dpv-obs/2; snapshots written before it
+       simply have none. *)
+    let snap_rates =
+      match Json.member "rates" j with
+      | Some (Json.Obj fs) -> sorted (ints fs)
+      | _ -> []
+    in
+    let snap_histograms = sorted (List.map histogram (obj "histograms")) in
+    { snap_counters; snap_gauges; snap_rates; snap_histograms }
+  with
+  | snap -> Ok snap
+  | exception Bad m -> Error (Printf.sprintf "line %d: %s" line m)
 
 let save_json snap ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json snap);
-      output_char oc '\n')
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.encode ~indent:2 (to_json snap) ^ "\n"))

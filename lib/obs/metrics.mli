@@ -143,12 +143,18 @@ val quantile_of_hist : hist_snapshot -> q:float -> float
     of 2 of the true sample quantile.  [0.0] for an empty histogram;
     raises [Invalid_argument] outside [0 <= q <= 1]. *)
 
-val to_json : ?indent:string -> snapshot -> string
-(** The [dpv-metrics/1] JSON object.  [indent] prefixes every line
-    after the first, for embedding inside a larger document.  Sampled
-    gauges are reported under ["rates"]; histograms with observations
-    additionally carry derived [p50_ns]/[p90_ns]/[p99_ns]. *)
+val to_json : snapshot -> Json.t
+(** The [dpv-metrics/1] JSON object.  Sampled gauges are reported under
+    ["rates"]; histograms with observations additionally carry derived
+    [p50_ns]/[p90_ns]/[p99_ns], rounded to whole nanoseconds. *)
 
-val buf_snapshot : ?indent:string -> Buffer.t -> snapshot -> unit
+val of_json : line:int -> Json.t -> (snapshot, string) result
+(** Parse a [dpv-metrics/1] object (the ["metrics"] member of a journal
+    meta trailer, a campaign report, or a serve metrics reply) back
+    into a snapshot.  [line] seeds error messages.  Derived fields
+    ([p50_ns] etc.) are ignored; a missing ["rates"] object (pre
+    dpv-obs/2) reads as empty. *)
 
 val save_json : snapshot -> path:string -> unit
+(** Write {!to_json} to [path], one member per line down to the
+    histograms. *)

@@ -138,39 +138,25 @@ let clear () = Mutex.protect lock (fun () -> events := [])
 (* Timestamps are microseconds relative to [configure] time, with
    nanosecond precision kept in the fraction — what chrome://tracing
    and Perfetto expect for "ts"/"dur". *)
-let buf_args b args =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "%S: %S" k v)
-    args;
-  Buffer.add_string b "}"
-
-let buf_event b pid epoch ev =
-  let us ns = float_of_int (ns - epoch) /. 1e3 in
+let event_json pid epoch ev =
+  let us ns = Json.Num (float_of_int ns /. 1e3) in
+  let event name ph tid times args =
+    Json.Obj
+      ((("name", Json.Str name) :: ("ph", Json.Str ph) :: times)
+      @ [
+          ("pid", Json.int pid);
+          ("tid", Json.int tid);
+          ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args));
+        ])
+  in
   match ev with
   | Complete { name; ts_ns; dur_ns; tid; args } ->
-      Printf.bprintf b
-        "{\"name\": %S, \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \
-         \"pid\": %d, \"tid\": %d, \"args\": "
-        name (us ts_ns)
-        (float_of_int dur_ns /. 1e3)
-        pid tid;
-      buf_args b args;
-      Buffer.add_string b "}"
+      event name "X" tid [ ("ts", us (ts_ns - epoch)); ("dur", us dur_ns) ] args
   | Instant { name; ts_ns; tid; args } ->
-      Printf.bprintf b
-        "{\"name\": %S, \"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f, \
-         \"pid\": %d, \"tid\": %d, \"args\": "
-        name (us ts_ns) pid tid;
-      buf_args b args;
-      Buffer.add_string b "}"
+      let times = [ ("s", Json.Str "t"); ("ts", us (ts_ns - epoch)) ] in
+      event name "i" tid times args
   | Thread_name { tid; label } ->
-      Printf.bprintf b
-        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \
-         \"tid\": %d, \"args\": {\"name\": %S}}"
-        pid tid label
+      event "thread_name" "M" tid [] [ ("name", label) ]
 
 let json_of ~epoch evs =
   let pid = Unix.getpid () in
@@ -178,16 +164,11 @@ let json_of ~epoch evs =
   let metas, rest =
     List.partition (function Thread_name _ -> true | _ -> false) evs
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "  ";
-      buf_event b pid epoch ev)
-    (metas @ rest);
-  Buffer.add_string b "\n], \"displayTimeUnit\": \"ms\"}\n";
-  Buffer.contents b
+  let events = List.map (event_json pid epoch) (metas @ rest) in
+  Json.encode ~indent:2
+    (Json.Obj
+       [ ("traceEvents", Json.Arr events); ("displayTimeUnit", Json.Str "ms") ])
+  ^ "\n"
 
 let to_json () =
   let evs, epoch =
@@ -200,10 +181,7 @@ let events_to_json evs =
   json_of ~epoch evs
 
 let write ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ()))
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_json ()))
 
 let init_from_env () =
   match Sys.getenv_opt "DPV_TRACE" with

@@ -1,4 +1,4 @@
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 
 let connect_unix ~path =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

@@ -1,4 +1,4 @@
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 
 (* The server's own journal: one JSON line per lifecycle event,
    appended and fsynced BEFORE the event's consequences can happen.
@@ -20,32 +20,30 @@ type event =
   | Finished of { job : string; exit_code : int }
   | Client_gone of { job : string }
 
-let encode = function
-  | Accepted { job; name; priority; budget_s; deadline_s; trace; spec } ->
-      let opt_num = function None -> Json.Null | Some f -> Json.Num f in
-      Json.encode
-        (Json.Obj
+let encode event =
+  let opt_num = function None -> Json.Null | Some f -> Json.Num f in
+  Json.encode
+    (Json.Obj
+       (match event with
+       | Accepted { job; name; priority; budget_s; deadline_s; trace; spec } ->
            [
              ("event", Json.Str "accepted");
              ("job", Json.Str job);
              ("name", Json.Str name);
-             ("priority", Json.Num (float_of_int priority));
+             ("priority", Json.int priority);
              ("budget_s", opt_num budget_s);
              ("deadline_s", opt_num deadline_s);
              ("trace", Json.Str trace);
              ("spec", spec);
-           ])
-  | Finished { job; exit_code } ->
-      Json.encode
-        (Json.Obj
+           ]
+       | Finished { job; exit_code } ->
            [
              ("event", Json.Str "finished");
              ("job", Json.Str job);
-             ("exit_code", Json.Num (float_of_int exit_code));
-           ])
-  | Client_gone { job } ->
-      Json.encode
-        (Json.Obj [ ("event", Json.Str "client_gone"); ("job", Json.Str job) ])
+             ("exit_code", Json.int exit_code);
+           ]
+       | Client_gone { job } ->
+           [ ("event", Json.Str "client_gone"); ("job", Json.Str job) ]))
 
 let decode line =
   match Json.of_string line with

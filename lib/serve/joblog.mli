@@ -10,7 +10,7 @@
     campaign journal then replays whatever queries already settled —
     no accepted job is ever lost, no settled verdict re-solved. *)
 
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 
 type event =
   | Accepted of {

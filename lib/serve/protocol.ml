@@ -1,4 +1,4 @@
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 module Campaign = Dpv_core.Campaign
 module Verify = Dpv_core.Verify
 module Metrics = Dpv_obs.Metrics
@@ -36,9 +36,8 @@ let parse_request ?max_depth ?max_bytes payload =
       in
       let envelope () =
         let trace =
-          match Json.member "trace" req with
-          | Some (Json.Bool b) -> b
-          | _ -> false
+          Option.value ~default:false
+            (Option.bind (Json.member "trace" req) Json.to_bool)
         in
         (str "name", int_def "priority" 0, num "budget_s", num "deadline_s",
          trace)
@@ -85,7 +84,7 @@ let busy ~retry_after_s ~queue_depth =
        [
          ("type", Json.Str "busy");
          ("retry_after_s", Json.Num retry_after_s);
-         ("queue_depth", Json.Num (float_of_int queue_depth));
+         ("queue_depth", Json.int queue_depth);
        ])
 
 let error ~message =
@@ -98,35 +97,30 @@ let accepted ~job ~position ~trace =
        [
          ("type", Json.Str "accepted");
          ("job", Json.Str job);
-         ("position", Json.Num (float_of_int position));
+         ("position", Json.int position);
          ("trace", Json.Str trace);
        ])
 
 let verdict_line (qr : Campaign.query_report) =
-  let fields =
-    [
-      ("type", Json.Str "verdict");
-      ("label", Json.Str qr.Campaign.query.Campaign.label);
-      ("outcome", Json.Str (Campaign.outcome_word qr.Campaign.outcome));
-    ]
-  in
-  let fields =
-    fields
-    @
+  let verdict =
     match qr.Campaign.outcome with
     | Campaign.Done r ->
         [ ("verdict", Json.Str (Campaign.verdict_word r.Verify.verdict)) ]
     | Campaign.Crashed reason | Campaign.Skipped reason ->
         [ ("verdict", Json.Null); ("detail", Json.Str reason) ]
   in
-  let fields =
-    fields
-    @ [
-        ("from_journal", Json.Bool qr.Campaign.from_journal);
-        ("attempts", Json.Num (float_of_int qr.Campaign.attempts));
-      ]
-  in
-  Json.encode (Json.Obj fields)
+  Json.encode
+    (Json.Obj
+       ([
+          ("type", Json.Str "verdict");
+          ("label", Json.Str qr.Campaign.query.Campaign.label);
+          ("outcome", Json.Str (Campaign.outcome_word qr.Campaign.outcome));
+        ]
+       @ verdict
+       @ [
+           ("from_journal", Json.Bool qr.Campaign.from_journal);
+           ("attempts", Json.int qr.Campaign.attempts);
+         ]))
 
 let done_line ~job ?(trace = "") (report : Campaign.report) =
   Json.encode
@@ -135,32 +129,25 @@ let done_line ~job ?(trace = "") (report : Campaign.report) =
          ("type", Json.Str "done");
          ("job", Json.Str job);
          ("trace", Json.Str trace);
-         ("exit_code", Json.Num (float_of_int (Campaign.report_exit_code report)));
+         ("exit_code", Json.int (Campaign.report_exit_code report));
          ("degraded", Json.Bool report.Campaign.degraded);
-         ("crashed", Json.Num (float_of_int report.Campaign.crashed));
-         ("skipped", Json.Num (float_of_int report.Campaign.skipped));
-         ("resumed", Json.Num (float_of_int report.Campaign.resumed));
+         ("crashed", Json.int report.Campaign.crashed);
+         ("skipped", Json.int report.Campaign.skipped);
+         ("resumed", Json.int report.Campaign.resumed);
          ("total_wall_s", Json.Num report.Campaign.total_wall_s);
        ])
 
-(* The metrics snapshot is already JSON text (dpv-metrics/1); splice it
-   in rather than round-tripping it through the value type.  [cursor]
-   names this snapshot for later delta polls; [since] echoes the base
-   cursor when the payload is a delta (absent: a full snapshot, either
-   because the client asked for one or its cursor aged out). *)
+(* [cursor] names this snapshot for later delta polls; [since] echoes
+   the base cursor when the payload is a delta (absent: a full
+   snapshot, either because the client asked for one or its cursor aged
+   out). *)
 let metrics_reply ?cursor ?since snapshot =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"type\": \"metrics\"";
-  (match cursor with
-  | Some c -> Printf.bprintf b ", \"cursor\": %d" c
-  | None -> ());
-  (match since with
-  | Some c -> Printf.bprintf b ", \"since\": %d" c
-  | None -> ());
-  Buffer.add_string b ", \"metrics\": ";
-  Metrics.buf_snapshot b snapshot;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let opt key = function Some c -> [ (key, Json.int c) ] | None -> [] in
+  Json.encode
+    (Json.Obj
+       ((("type", Json.Str "metrics") :: opt "cursor" cursor)
+       @ opt "since" since
+       @ [ ("metrics", Metrics.to_json snapshot) ]))
 
 (* The events payload is a complete Chrome trace_event document,
    carried as a string so the client can write it to a file verbatim —
@@ -181,8 +168,8 @@ let pong ~jobs_running ~queue_depth =
        [
          ("type", Json.Str "pong");
          ("server", Json.Str version);
-         ("jobs_running", Json.Num (float_of_int jobs_running));
-         ("queue_depth", Json.Num (float_of_int queue_depth));
+         ("jobs_running", Json.int jobs_running);
+         ("queue_depth", Json.int queue_depth);
        ])
 
 let draining =

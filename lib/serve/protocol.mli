@@ -9,7 +9,7 @@
     spans, when requested), [done] (terminal, with the job's exit
     code), [metrics], [pong], [draining]. *)
 
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 
 type request =
   | Submit of {

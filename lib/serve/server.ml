@@ -1,4 +1,4 @@
-module Json = Dpv_core.Json
+module Json = Dpv_obs.Json
 module Campaign = Dpv_core.Campaign
 module Journal = Dpv_core.Journal
 module Specfile = Dpv_core.Specfile
@@ -206,17 +206,27 @@ let slow_lines ~trace ~job ~slow_ms events =
       then begin
         let label = Option.value (List.assoc_opt "label" args) ~default:"" in
         let t1 = ts + dur in
+        let phase pname = Json.Num (phase_ms ~t0:ts ~t1 pname) in
         Some
-          (Printf.sprintf
-             "{\"slow_query\": 1, \"trace\": %S, \"job\": %S, \"span\": %S, \
-              \"label\": %S, \"wall_ms\": %.3f, \"threshold_ms\": %.3f, \
-              \"phases\": {\"resolve_bounds_ms\": %.3f, \"encode_ms\": %.3f, \
-              \"tighten_ms\": %.3f, \"milp_ms\": %.3f}}"
-             trace job name label (ms dur) slow_ms
-             (phase_ms ~t0:ts ~t1 "verify.resolve-bounds")
-             (phase_ms ~t0:ts ~t1 "campaign.shared-encode")
-             (phase_ms ~t0:ts ~t1 "tighten.feature-box")
-             (phase_ms ~t0:ts ~t1 "milp.solve"))
+          (Json.encode
+             (Json.Obj
+                [
+                  ("slow_query", Json.Num 1.0);
+                  ("trace", Json.Str trace);
+                  ("job", Json.Str job);
+                  ("span", Json.Str name);
+                  ("label", Json.Str label);
+                  ("wall_ms", Json.Num (ms dur));
+                  ("threshold_ms", Json.Num slow_ms);
+                  ( "phases",
+                    Json.Obj
+                      [
+                        ("resolve_bounds_ms", phase "verify.resolve-bounds");
+                        ("encode_ms", phase "campaign.shared-encode");
+                        ("tighten_ms", phase "tighten.feature-box");
+                        ("milp_ms", phase "milp.solve");
+                      ] );
+                ]))
       end
       else None)
     spans
@@ -236,6 +246,8 @@ let append_slowlog t lines =
   end
 
 (* ---- execution ---- *)
+
+exception Resume_failed of string
 
 let execute t job =
   let t0 = Clock.monotonic_ns () in
@@ -273,16 +285,6 @@ let execute t job =
   in
   (match t.before_execute with Some f -> f job.id | None -> ());
   let journal_path = job_journal_path t job.id in
-  (* The per-job campaign journal is the replay store: a job killed (or
-     resubmitted) resumes from it bit-identically via the same --resume
-     machinery the batch CLI uses. *)
-  let resume =
-    if Sys.file_exists journal_path then
-      match Journal.load ~path:journal_path with
-      | Ok entries -> Some entries
-      | Error _ -> None
-    else None
-  in
   (* Queue wait spends the client's deadline; the budget is carved from
      what remains at the moment execution starts. *)
   let budget_s = Clock.carve job.deadline job.budget_s in
@@ -297,6 +299,21 @@ let execute t job =
     Atomic.decr t.in_system
   in
   match
+    (* The per-job campaign journal is the replay store: a job killed
+       (or resubmitted) resumes from it bit-identically via the same
+       --resume machinery the batch CLI uses.  A journal that does not
+       load fails the job as [dpv campaign --resume] fails, before
+       [Campaign.run] could rewrite the file and lose its verdicts. *)
+    let resume =
+      if not (Sys.file_exists journal_path) then None
+      else
+        match Journal.load ~path:journal_path with
+        | Ok entries -> Some entries
+        | Error e ->
+            raise
+              (Resume_failed
+                 (Printf.sprintf "cannot resume from %s: %s" journal_path e))
+    in
     Campaign.run ~milp_options:job.milp_options ~runners:job.runners ?budget_s
       ~journal:journal_path ?resume ~cache:t.cache ~on_settled
       ~trace:job.trace ~perception:t.perception job.queries
@@ -341,7 +358,9 @@ let execute t job =
          pool, the queue and every other connection are untouched.
          Exit 4 is the same degraded code a crashed batch campaign
          earns. *)
-      let msg = Printexc.to_string e in
+      let msg =
+        match e with Resume_failed m -> m | e -> Printexc.to_string e
+      in
       (try Joblog.append ~path:t.joblog_path (Joblog.Finished { job = job.id; exit_code = 4 })
        with _ -> ());
       finish ();
@@ -377,7 +396,7 @@ let resolve_spec t spec =
   | Json.Obj fields ->
       let fields =
         if List.mem_assoc "seed" fields then fields
-        else ("seed", Json.Num (float_of_int t.base.Specfile.seed)) :: fields
+        else ("seed", Json.int t.base.Specfile.seed) :: fields
       in
       let fields =
         if List.mem_assoc "setup" fields then fields

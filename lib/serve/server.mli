@@ -56,7 +56,7 @@ val create :
   perception:Dpv_nn.Network.t ->
   builder:Dpv_core.Specfile.builder ->
   base:Dpv_core.Specfile.parsed ->
-  base_spec:Dpv_core.Json.t ->
+  base_spec:Dpv_obs.Json.t ->
   unit ->
   t
 (** Create the server state, run restart recovery (pending joblog

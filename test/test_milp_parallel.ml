@@ -72,26 +72,6 @@ let test_parallel_agrees_on_random_milps () =
   for _ = 1 to 40 do
     let model = random_milp rng in
     let seq, _ = Milp_par.solve_with_stats ~options:seq_options model in
-    let par, _ = Milp_par.solve_with_stats ~options:par_options model in
-    Alcotest.(check string)
-      "classification agrees" (classification seq) (classification par);
-    match (seq, par) with
-    | Milp.Optimal { objective = o1; _ }, Milp.Optimal { objective = o2; solution } ->
-        check_float "objective agrees" o1 o2;
-        Alcotest.(check bool)
-          "parallel witness is feasible" true
-          (Lp.check_feasible ~tol:1e-5 model solution)
-    | _ -> ()
-  done
-
-let test_task_batch_sizes_agree () =
-  (* Subtree batching is a scheduling choice, never an answer one: four
-     workers diving in batches must classify every instance like one
-     worker and agree on the optimum. *)
-  let rng = Rng.create 4242 in
-  for _ = 1 to 25 do
-    let model = random_milp rng in
-    let seq, _ = Milp_par.solve_with_stats ~options:seq_options model in
     let par, stats = Milp_par.solve_with_stats ~options:par_options model in
     Alcotest.(check string)
       "classification agrees" (classification seq) (classification par);
@@ -102,14 +82,14 @@ let test_task_batch_sizes_agree () =
     | Milp.Optimal { objective = o1; _ }, Milp.Optimal { objective = o2; solution } ->
         check_float "objective agrees" o1 o2;
         Alcotest.(check bool)
-          "witness is feasible" true
+          "parallel witness is feasible" true
           (Lp.check_feasible ~tol:1e-5 model solution)
     | _ -> ()
   done
 
-let test_task_batch_infeasible_proof () =
+let test_infeasible_proof_explores_one_worker_tree () =
   (* An exhaustive infeasibility proof must visit the same tree however
-     the nodes are grouped into batches. *)
+     many workers share it. *)
   let model = hard_infeasible_model 10 in
   let _, seq_stats = Milp_par.solve_with_stats ~options:seq_options model in
   let result, stats = Milp_par.solve_with_stats ~options:par_options model in
@@ -467,10 +447,8 @@ let tests =
       test_parallel_agrees_on_random_milps;
     Alcotest.test_case "parallel find-first agrees" `Quick
       test_parallel_find_first_agrees;
-    Alcotest.test_case "task-batch sizes agree" `Quick
-      test_task_batch_sizes_agree;
-    Alcotest.test_case "task-batch infeasible proof is exhaustive" `Quick
-      test_task_batch_infeasible_proof;
+    Alcotest.test_case "4 workers explore same tree" `Quick
+      test_infeasible_proof_explores_one_worker_tree;
     Alcotest.test_case "parallel proves infeasibility" `Quick
       test_parallel_infeasible;
     Alcotest.test_case "workers=1 is the sequential solver" `Quick

@@ -171,7 +171,7 @@ let test_snapshot_merge () =
   Alcotest.(check bool) "commutative" true (Metrics.merge b a = m)
 
 let test_metrics_json_parses () =
-  let json = Metrics.to_json (Metrics.snapshot ()) in
+  let json = Json.encode (Metrics.to_json (Metrics.snapshot ())) in
   Alcotest.(check bool) "carries the schema tag" true
     (contains ~needle:"dpv-metrics/1" json);
   match Json.of_string json with
@@ -499,8 +499,8 @@ let test_span_nesting () =
       in
       let o_start, o_end = span_bounds json "outer" in
       let i_start, i_end = span_bounds json "inner" in
-      (* ts/dur are printed in microseconds at 3 decimals; allow that
-         much rounding slack. *)
+      (* ts/dur are float microseconds, and ts + dur rounds; allow
+         a nanosecond or two of slack. *)
       let eps = 0.002 in
       if i_start +. eps < o_start || i_end > o_end +. eps then
         Alcotest.failf "inner [%f, %f] escapes outer [%f, %f]" i_start i_end
@@ -1104,6 +1104,115 @@ let test_journal_torn_tail_tolerated () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "mid-file corruption must not load")
 
+(* ---- any text, any double ---- *)
+
+(* What a query name may hold: every ASCII byte, control characters
+   included, UTF-8 text, quotes and backslashes. *)
+let odd_text =
+  String.init 128 Char.chr ^ "gauche-\195\169vit\195\169e \"quoted\" back\\slash"
+
+(* Doubles whose text must keep every bit: a negative zero, a decimal
+   with no exact binary form, the smallest subnormal, an integer past
+   2^53 and a huge one. *)
+let odd_doubles = [ -0.0; 0.1; Int64.float_of_bits 1L; 0x1p53 +. 2.0; 1e300 ]
+
+let test_json_round_trips_text_and_doubles () =
+  let nums = List.map (fun x -> Json.Num x) odd_doubles in
+  let v = Json.Obj [ (odd_text, Json.Arr (Json.Str odd_text :: nums)) ] in
+  List.iter
+    (fun indent ->
+      match Json.of_string (Json.encode ~indent v) with
+      | Ok (Json.Obj [ (key, Json.Arr (Json.Str s :: back)) ]) ->
+          Alcotest.(check string) "key verbatim" odd_text key;
+          Alcotest.(check string) "string verbatim" odd_text s;
+          Alcotest.(check (list int64)) "doubles bit for bit"
+            (List.map Int64.bits_of_float odd_doubles)
+            (List.map
+               (function
+                 | Json.Num x -> Int64.bits_of_float x
+                 | _ -> Alcotest.fail "not a number")
+               back)
+      | Ok _ -> Alcotest.fail "the value changed shape"
+      | Error e -> Alcotest.failf "indent %d does not parse: %s" indent e)
+    [ 0; 1; 2 ]
+
+let labels_of what doc =
+  let j = json_exn what (Json.of_string doc) in
+  match Option.bind (Json.member "queries" j) Json.to_list with
+  | Some qs ->
+      List.map (fun q -> Option.bind (Json.member "label" q) Json.to_string) qs
+  | None -> Alcotest.failf "%s has no queries" what
+
+let test_journal_and_reports_keep_any_text () =
+  let subnormal = Int64.float_of_bits 1L in
+  let result verdict =
+    {
+      Verify.verdict;
+      milp_stats = distinct_stats 0;
+      encoding = odd_text;
+      num_binaries = 3;
+      wall_time_s = subnormal;
+    }
+  in
+  let entry key label outcome =
+    { (done_entry (distinct_stats 0)) with Journal.key; label; outcome }
+  in
+  let entries =
+    [
+      entry "k1" odd_text (Journal.Done (result (Verify.Unknown odd_text)));
+      entry "k2" "witness"
+        (Journal.Done
+           (result
+              (Verify.Unsafe
+                 {
+                   features = Array.of_list odd_doubles;
+                   output = [| -0.0; subnormal |];
+                   logit = -0.0;
+                 })));
+      entry "k3" odd_text (Journal.Crashed odd_text);
+    ]
+  in
+  (* Structural equality holds -0.0 = 0.0: compare the bits as well. *)
+  let float_bits (e : Journal.entry) =
+    match e.Journal.outcome with
+    | Journal.Done r ->
+        let witness =
+          match r.Verify.verdict with
+          | Verify.Unsafe { features; output; logit } ->
+              Array.to_list features @ Array.to_list output @ [ logit ]
+          | Verify.Safe _ | Verify.Unknown _ -> []
+        in
+        List.map Int64.bits_of_float
+          ((r.Verify.wall_time_s :: r.Verify.milp_stats.Milp.lp_time_s :: witness))
+    | Journal.Crashed _ | Journal.Skipped _ -> []
+  in
+  (with_temp_file @@ fun path ->
+   Journal.save ~path entries;
+   match Journal.load ~path with
+   | Ok loaded ->
+       Alcotest.(check bool) "entries load back equal" true (loaded = entries);
+       Alcotest.(check (list (list int64))) "every float bit for bit"
+         (List.map float_bits entries) (List.map float_bits loaded)
+   | Error e -> Alcotest.failf "journal does not load: %s" e);
+  Alcotest.(check (list (option string))) "merged report keeps the labels"
+    [ Some odd_text; Some "witness"; Some odd_text ]
+    (labels_of "merged report" (Campaign.merged_to_json ~entries ~metas:[]));
+  Dpv_linprog.Faults.disable ();
+  let query =
+    Campaign.query ~label:odd_text ~characterizer
+      ~psi:(Risk.make ~name:"out>=0.9" [ Risk.output_ge 0 0.9 ])
+      ~bounds:(Verify.Data_box visited_features) ()
+  in
+  with_trace (fun () ->
+      let report = Campaign.run ~runners:1 ~perception [ query ] in
+      Alcotest.(check (list (option string))) "report keeps the label"
+        [ Some odd_text ]
+        (labels_of "campaign report" (Campaign.to_json report));
+      let trace = json_exn "trace" (Json.of_string (Trace.to_json ())) in
+      let args = member_exn "args" (span_event trace "campaign.query") in
+      Alcotest.(check (option string)) "trace keeps the label" (Some odd_text)
+        (Option.bind (Json.member "label" args) Json.to_string))
+
 let tests =
   [
     Alcotest.test_case "mclock is monotonic" `Quick test_mclock_monotonic;
@@ -1141,6 +1250,10 @@ let tests =
       test_counter_keys_carry_their_fields;
     Alcotest.test_case "journal reads earlier lines" `Quick
       test_journal_reads_earlier_lines;
+    Alcotest.test_case "json round-trips text and doubles" `Quick
+      test_json_round_trips_text_and_doubles;
+    Alcotest.test_case "journal and reports keep any text" `Quick
+      test_journal_and_reports_keep_any_text;
     Alcotest.test_case "campaign metrics equal legacy stats" `Quick
       test_campaign_metrics_agree_with_stats;
     Alcotest.test_case "campaign report embeds dpv-metrics/1" `Quick

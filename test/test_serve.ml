@@ -606,6 +606,58 @@ let test_serve_resubmit_replays_from_journal () =
                (Json.to_int v)
   | _ -> Alcotest.fail "expected exactly one done frame"
 
+let test_serve_unloadable_journal_fails_job () =
+  with_server @@ fun _server ~sock ~state_dir ->
+  let request =
+    submission ~name:"damaged"
+      [ query_obj "d1"; query_obj ~psi:"far-right:30" "d2" ]
+  in
+  let outcome1, frames1 = submit_collect sock request in
+  ignore (finished_code outcome1);
+  let job =
+    match string_frames frames1 ~ty:"accepted" "job" with
+    | [ j ] -> j
+    | _ -> Alcotest.fail "no job id"
+  in
+  let journal = Filename.concat state_dir ("job-" ^ job ^ ".jsonl") in
+  let slurp () = In_channel.with_open_bin journal In_channel.input_all in
+  let resumed frames =
+    match frames_of frames ~ty:"done" "resumed" with
+    | [ v ] -> Json.to_int v
+    | _ -> Alcotest.fail "expected exactly one done frame"
+  in
+  (* A torn final line is an interrupted append: the job resumes. *)
+  write_file journal (slurp () ^ {|{"key": "torn|});
+  let outcome2, frames2 = submit_collect sock request in
+  ignore (finished_code outcome2);
+  Alcotest.(check (option int)) "a torn tail still resumes" (Some 2)
+    (resumed frames2);
+  (* A damaged line before the end is not a crash: the job fails as
+     [dpv campaign --resume] does, and the settled verdicts stay. *)
+  let damaged =
+    match String.split_on_char '\n' (slurp ()) with
+    | first :: rest -> String.concat "\n" (first :: "garbage" :: rest)
+    | [] -> Alcotest.fail "empty journal"
+  in
+  write_file journal damaged;
+  (match submit_collect sock request with
+  | Sclient.Failed msg, _ ->
+      let want = Printf.sprintf "cannot resume from %s: line 2: " journal in
+      Alcotest.(check bool) ("the error names the line: " ^ msg) true
+        (contains msg want)
+  | _ -> Alcotest.fail "a journal that does not load must fail the job");
+  Alcotest.(check string) "the journal is left byte for byte" damaged
+    (slurp ());
+  let finished =
+    List.filter_map
+      (function
+        | Joblog.Finished { job = j; exit_code } when j = job -> Some exit_code
+        | _ -> None)
+      (ok (Joblog.load ~path:(Filename.concat state_dir "joblog.jsonl")))
+  in
+  Alcotest.(check (option int)) "the joblog records exit 4" (Some 4)
+    (List.nth_opt finished (List.length finished - 1))
+
 let test_serve_warm_cache_across_jobs () =
   with_server @@ fun _server ~sock ~state_dir:_ ->
   let hits () = Metrics.counter_value (Metrics.counter "campaign.cache_hits") in
@@ -1154,8 +1206,11 @@ let test_serve_metrics_since_cursor () =
 let test_serve_slowlog_phases () =
   with_server ~tune:(fun c -> { c with Server.slow_ms = Some 0.0 })
   @@ fun _server ~sock ~state_dir ->
+  (* Quotes, a backslash, a tab, a control byte and UTF-8 text reach the
+     slow line verbatim. *)
+  let label = "sq \"\\\t\001 \195\169vit\195\169e" in
   let outcome, frames =
-    submit_collect sock (submission ~name:"slow" [ query_obj "sq" ])
+    submit_collect sock (submission ~name:"slow" [ query_obj label ])
   in
   Alcotest.(check int) "job exits clean" 0 (finished_code outcome);
   let job =
@@ -1191,7 +1246,7 @@ let test_serve_slowlog_phases () =
         (str "trace");
       Alcotest.(check (option string)) "names the span" (Some "campaign.query")
         (str "span");
-      Alcotest.(check (option string)) "names the query" (Some "sq")
+      Alcotest.(check (option string)) "names the query" (Some label)
         (str "label");
       let wall =
         match num "wall_ms" with
@@ -1405,6 +1460,8 @@ let tests =
      test_serve_deadline_spent_in_queue);
     ("serve: resubmit replays from journal", `Slow,
      test_serve_resubmit_replays_from_journal);
+    ("serve: unloadable journal fails the job", `Slow,
+     test_serve_unloadable_journal_fails_job);
     ("serve: warm cache across jobs", `Slow,
      test_serve_warm_cache_across_jobs);
     ("serve: setup mismatch refused", `Slow,
