@@ -87,9 +87,10 @@ let test_parallel_agrees_on_random_milps () =
     | _ -> ()
   done
 
-let test_infeasible_proof_explores_one_worker_tree () =
+let test_task_batch_infeasible_proof () =
   (* An exhaustive infeasibility proof must visit the same tree however
-     many workers share it. *)
+     many workers share it and however their dives are cut into pool
+     tasks. *)
   let model = hard_infeasible_model 10 in
   let _, seq_stats = Milp_par.solve_with_stats ~options:seq_options model in
   let result, stats = Milp_par.solve_with_stats ~options:par_options model in
@@ -447,8 +448,8 @@ let tests =
       test_parallel_agrees_on_random_milps;
     Alcotest.test_case "parallel find-first agrees" `Quick
       test_parallel_find_first_agrees;
-    Alcotest.test_case "4 workers explore same tree" `Quick
-      test_infeasible_proof_explores_one_worker_tree;
+    Alcotest.test_case "task-batch infeasible proof is exhaustive" `Quick
+      test_task_batch_infeasible_proof;
     Alcotest.test_case "parallel proves infeasibility" `Quick
       test_parallel_infeasible;
     Alcotest.test_case "workers=1 is the sequential solver" `Quick
