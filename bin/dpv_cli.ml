@@ -541,8 +541,10 @@ let serve_cmd =
         }
       in
       let server =
-        Server.create ~config ~perception:prepared.Workflow.perception
-          ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+        try
+          Server.create ~config ~perception:prepared.Workflow.perception
+            ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+        with Failure msg -> spec_error "%s" msg
       in
       if Server.recovered server > 0 then
         Format.printf "recovered %d journaled job(s) from %s@."

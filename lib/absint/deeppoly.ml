@@ -311,7 +311,6 @@ module Resumable = struct
     hi_k : float array;
     cl : float array; (* concrete lower bounds (the [conc] cache) *)
     ch : float array;
-    mutable holds : int; (* layer whose state lives here; -1 = none *)
   }
 
   (* Conv2d is lowered to dense once at plan time ([transfer_layer]
@@ -360,9 +359,7 @@ module Resumable = struct
     plan : plan;
     in_lo : float array; (* input box, split into sides *)
     in_hi : float array;
-    cached : int; (* layers 0..cached have dedicated slots *)
-    slots : slot array; (* length cached + 1 *)
-    ping : slot array; (* 2 alternating slots for evicted layers *)
+    slots : slot array; (* slots.(l) holds layer l's state *)
     img_lo : float array; (* per-step box-domain image scratch *)
     img_hi : float array;
     ex_lo : float array; (* per-step concretization scratch *)
@@ -381,19 +378,12 @@ module Resumable = struct
       hi_k = Array.make dim 0.0;
       cl = Array.make dim 0.0;
       ch = Array.make dim 0.0;
-      holds = -1;
     }
 
-  (* Cost in floats of caching one layer's state: two coefficient
-     matrices plus four per-neuron scalars. *)
-  let slot_floats ~input_dim dim = dim * ((2 * input_dim) + 4)
-
-  let cached_layers st = st.cached
-  let evicted_layers st = num_layers st.plan - st.cached
   let valid st = st.valid
   let last_empty st = st.empty
 
-  let create ?(budget_floats = max_int) plan box =
+  let create plan box =
     let id = plan.p_input_dim in
     if Array.length box <> id then
       invalid_arg "Deeppoly.Resumable.create: wrong input dimension";
@@ -404,38 +394,12 @@ module Resumable = struct
             (Float.is_finite iv.Interval.lo && Float.is_finite iv.Interval.hi)
         then invalid_arg "Deeppoly.Resumable.create: unbounded side")
       box;
-    let n = num_layers plan in
-    (* Greedy prefix under the budget: cache layers 1..K while they
-       fit.  DFS phase flips cluster deep in the tree, so a valid
-       shallow prefix is what resumption actually reuses; everything
-       past K ping-pongs through two scratch slots (still
-       allocation-free per node, just recomputed). *)
-    let cached = ref n in
-    let spent = ref 0 in
-    (try
-       for l = 1 to n do
-         spent := !spent + slot_floats ~input_dim:id plan.p_dims.(l);
-         if !spent > budget_floats then begin
-           cached := l - 1;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let cached = !cached in
     let slots =
-      Array.init (cached + 1) (fun l -> make_slot ~input_dim:id plan.p_dims.(l))
+      Array.init
+        (num_layers plan + 1)
+        (fun l -> make_slot ~input_dim:id plan.p_dims.(l))
     in
     let max_dim = Array.fold_left max 0 plan.p_dims in
-    let ping =
-      if cached = n then [||]
-      else
-        Array.init 2 (fun _ ->
-            let dim = ref 0 in
-            for l = cached + 1 to n do
-              dim := max !dim plan.p_dims.(l)
-            done;
-            make_slot ~input_dim:id !dim)
-    in
     let s0 = slots.(0) in
     for i = 0 to id - 1 do
       s0.lo_c.(i).(i) <- 1.0;
@@ -443,14 +407,11 @@ module Resumable = struct
       s0.cl.(i) <- box.(i).Interval.lo;
       s0.ch.(i) <- box.(i).Interval.hi
     done;
-    s0.holds <- 0;
     {
       plan;
       in_lo = Array.init id (fun i -> box.(i).Interval.lo);
       in_hi = Array.init id (fun i -> box.(i).Interval.hi);
-      cached;
       slots;
-      ping;
       img_lo = Array.make max_dim 0.0;
       img_hi = Array.make max_dim 0.0;
       ex_lo = Array.make max_dim 0.0;
@@ -464,16 +425,9 @@ module Resumable = struct
     if l < 1 then invalid_arg "Deeppoly.Resumable.invalidate_from";
     if l - 1 < st.valid then st.valid <- l - 1
 
-  (* A cached slot is current only up to [valid]; an evicted layer is
-     readable only while one of the ping-pong slots still holds it
-     (i.e. between its transfer and the second-next evicted
-     transfer). *)
+  (* A slot is current only up to [valid]. *)
   let slot_holding st l =
-    if l <= st.cached then
-      if l <= st.valid then st.slots.(l)
-      else invalid_arg "Deeppoly.Resumable: layer state not materialized"
-    else if Array.length st.ping > 0 && st.ping.(0).holds = l then st.ping.(0)
-    else if Array.length st.ping > 1 && st.ping.(1).holds = l then st.ping.(1)
+    if l <= st.valid then st.slots.(l)
     else invalid_arg "Deeppoly.Resumable: layer state not materialized"
 
   let conc_lo st ~layer i = (slot_holding st layer).cl.(i)
@@ -757,23 +711,11 @@ module Resumable = struct
   let propagate st ~phases =
     st.empty <- false;
     st.progress <- 0;
-    (* Ping-pong slots never survive across calls: the evicted tail is
-       recomputed every time, and a stale [holds] from a previous run
-       must not be mistaken for current state. *)
-    if Array.length st.ping > 0 then begin
-      st.ping.(0).holds <- -1;
-      st.ping.(1).holds <- -1
-    end;
     let n = num_layers st.plan in
     (try
        for l = st.valid + 1 to n do
-         let src = slot_holding st (l - 1) in
-         let dst =
-           if l <= st.cached then st.slots.(l)
-           else if st.ping.(0).holds = l - 1 then st.ping.(1)
-           else st.ping.(0)
-         in
-         dst.holds <- -1;
+         let src = st.slots.(l - 1) in
+         let dst = st.slots.(l) in
          let m = st.plan.p_dims.(l) in
          (match st.plan.steps.(l - 1) with
          | S_dense (rows, bias) ->
@@ -782,8 +724,7 @@ module Resumable = struct
          | S_diag (scale, shift) -> diag_into st ~m src dst scale shift
          | S_sigmoid -> mono_into st ~m src dst `Sigmoid
          | S_tanh -> mono_into st ~m src dst `Tanh);
-         dst.holds <- l;
-         if l <= st.cached then st.valid <- l;
+         st.valid <- l;
          st.progress <- st.progress + 1
        done
      with Empty_region -> st.empty <- true);

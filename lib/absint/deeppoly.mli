@@ -72,21 +72,9 @@ module Resumable : sig
   val is_relu : plan -> int -> bool
   (** Whether 1-based layer [l] is a ReLU. *)
 
-  val create : ?budget_floats:int -> plan -> Box_domain.t -> state
+  val create : plan -> Box_domain.t -> state
   (** Buffers for propagating [plan] from the given (finite-sided)
-      input box.  [budget_floats] bounds the memory spent on cached
-      layer states: layers are cached greedily from layer 1 while the
-      running cost fits, deeper layers are evicted — recomputed through
-      two alternating scratch slots on every call (still
-      allocation-free, just without resumption past the cached
-      prefix). *)
-
-  val cached_layers : state -> int
-  (** Deepest layer with a dedicated cache slot ([= num_layers] when
-      nothing was evicted). *)
-
-  val evicted_layers : state -> int
-  (** Number of layer states dropped for the memory budget. *)
+      input box, with one cached state per layer. *)
 
   val valid : state -> int
   (** Deepest cached layer whose state is current (0 after [create]:

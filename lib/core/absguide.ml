@@ -154,7 +154,6 @@ type instance = {
   mutable i_hits : int;
   mutable i_propagated : int;
   mutable i_saved : int;
-  i_evictions : int;
 }
 
 (* Fixes and widths for one ReLU layer from its pre-activation bounds
@@ -281,6 +280,13 @@ let full_scan ns node =
     ns.ns_caches;
   !first_invalid
 
+(* absint-stale: the guide serves a stale cached layer state once: a
+   consult that should have invalidated part of its prefix cache skips
+   the invalidation.  The debug cross-check (active whenever the
+   harness is armed) must detect the divergence against a from-scratch
+   propagation and fall back. *)
+let absint_stale = Faults.site "absint-stale"
+
 (* Roll one net's engine back to [l].  Returns [true] when the
    [absint-stale] fault suppressed a rollback that should have happened
    (the injected bug the cross-check must catch). *)
@@ -291,7 +297,7 @@ let apply_invalidation ns l =
       (fun rc -> if rc.rc_layer >= l then rc.rc_have <- false)
       ns.ns_caches;
     let stale =
-      l <= Resumable.valid ns.ns_st && Faults.fire Faults.Absint_stale
+      l <= Resumable.valid ns.ns_st && Faults.fire absint_stale
     in
     if not stale then Resumable.invalidate_from ns.ns_st l;
     stale
@@ -426,7 +432,7 @@ let seed_logit_box sd = (Resumable.output_box sd.sd_head).(0)
 
 (* ---------------- the guide factory ---------------- *)
 
-let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
+let factory ?seed ~suffix ~head ~feature_box ~suffix_relus
     ~head_relus ~psi ~characterizer_margin () : Milp.guide_factory =
   (* A seed is only adoptable when it was propagated over exactly this
      box (bit-for-bit); anything else is silently a non-seed. *)
@@ -541,8 +547,8 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
             match adopted with
             | Some sd -> (sd.sd_suffix, sd.sd_head, true)
             | None ->
-                ( Resumable.create ?budget_floats splan feature_box,
-                  Resumable.create ?budget_floats hplan feature_box,
+                ( Resumable.create splan feature_box,
+                  Resumable.create hplan feature_box,
                   false )
           in
           if seeded then Metrics.incr m_seeded_roots 1;
@@ -588,8 +594,6 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
               i_hits = 0;
               i_propagated = 0;
               i_saved = 0;
-              i_evictions =
-                Resumable.evicted_layers s_st + Resumable.evicted_layers h_st;
             }
           in
           instances := inst :: !instances;
@@ -607,8 +611,6 @@ let factory ?budget_floats ?seed ~suffix ~head ~feature_box ~suffix_relus
               absint_layers_propagated =
                 acc.absint_layers_propagated + i.i_propagated;
               absint_layers_saved = acc.absint_layers_saved + i.i_saved;
-              absint_cache_evictions =
-                acc.absint_cache_evictions + i.i_evictions;
             })
           Milp.empty_stats !instances)
   in

@@ -87,7 +87,6 @@ val query_unreachable :
     sub-box discharge and a {!Verify.verify_incomplete} SAFE. *)
 
 val factory :
-  ?budget_floats:int ->
   ?seed:seed ->
   suffix:Dpv_nn.Network.t ->
   head:Dpv_nn.Network.t ->
@@ -101,13 +100,9 @@ val factory :
 (** A guide factory over the encoded networks.  Every [new_guide] call
     returns an independent stateful instance (safe to confine one per
     worker domain); the factory's [stats] aggregates
-    [absint_incr_hits]/[absint_layers_propagated]/[absint_layers_saved]/
-    [absint_cache_evictions] over all instances and is read by the
-    solvers as a start/end delta.
-
-    [budget_floats] bounds each instance's cached layer states (see
-    {!Dpv_absint.Deeppoly.Resumable.create}); evicted layers are
-    recomputed per node, counted by [cache_evictions].
+    [absint_incr_hits]/[absint_layers_propagated]/[absint_layers_saved]
+    over all instances and is read by the solvers as a start/end
+    delta.
 
     [seed] (if its box matches [feature_box] bit-for-bit) is adopted by
     the first instance created, whose first root consult then

@@ -138,6 +138,9 @@ type work_unit = {
   u_span_args : (string * string) list;
 }
 
+(* task-crash: a query task raises mid-flight. *)
+let task_crash = Faults.site "task-crash"
+
 let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
     ?budget_s ?journal ?resume ?(absint = false) ?bisect ?cache ?on_settled
     ?(trace = "") ~perception queries =
@@ -370,7 +373,7 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
        which queries the budget never reached. *)
     if Clock.expired deadline then Unit_skipped
     else begin
-      if Faults.fire Faults.Task_crash then failwith "injected task crash";
+      if Faults.fire task_crash then failwith "injected task crash";
       (* Carved at task start, so early units cannot spend the whole
          campaign budget before later ones get their slice checked. *)
       let options =

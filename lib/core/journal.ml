@@ -150,6 +150,9 @@ let fsync_channel oc =
   try Unix.fsync (Unix.descr_of_out_channel oc)
   with Unix.Unix_error _ -> ()
 
+(* journal-crash: a journal write fails with [Sys_error]. *)
+let journal_crash = Faults.site "journal-crash"
+
 (* Whole-file write to a sibling tmp, then an atomic rename: readers
    (and a resumed campaign) never see a torn line.  [before_rename]
    runs in the window where a real crash leaves [path] at its previous
@@ -180,7 +183,7 @@ let rewrite w =
   close_channel w;
   write_file ~path:w.path (List.rev w.entries_rev) w.meta
     ~before_rename:(fun () ->
-      if Faults.fire Faults.Journal_crash then
+      if Faults.fire journal_crash then
         raise (Sys_error "injected journal write failure"));
   Metrics.incr m_rewrites 1;
   w.pending_rewrite <- false;
@@ -199,7 +202,7 @@ let persist w line =
   let t0 = Dpv_obs.Mclock.now_ns () in
   let trace_t0 = Trace.begin_ns () in
   let append_line () =
-    if Faults.fire Faults.Journal_crash then
+    if Faults.fire journal_crash then
       raise (Sys_error "injected journal write failure");
     match w.oc with
     | None -> rewrite w
@@ -336,48 +339,42 @@ let parse_meta ~line j =
   | Ok metrics -> { shard; shard_count; runners; total_wall_s; trace; metrics }
   | Error m -> raise (Bad_line m)
 
-let load_with_meta ~path =
-  match In_channel.with_open_text path In_channel.input_all with
+let read_lines ~path decode =
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
   | content ->
-      (* Every complete append ends in a newline, so a final line with
-         no terminator can only be the torn tail of an interrupted
-         append — drop it and resume from the last complete entry.
-         Corruption anywhere else (or on a newline-terminated final
-         line) is still a hard error: that is damage, not a crash. *)
-      let ends_with_newline =
-        content = "" || content.[String.length content - 1] = '\n'
-      in
+      (* Every complete append ends in a newline, so the split's last
+         piece is empty unless an append was torn: a final line with no
+         terminator is the only one a crash can leave half-written, and
+         it is dropped.  Corruption anywhere else (or on a
+         newline-terminated final line) is damage, not a crash. *)
       let lines = String.split_on_char '\n' content in
-      let last_content_line =
-        List.fold_left
-          (fun (i, last) l ->
-            (i + 1, if String.trim l = "" then last else i))
-          (1, 0) lines
-        |> snd
-      in
-      let rec go acc metas line = function
-        | [] -> Ok (List.rev acc, List.rev metas)
-        | l :: rest when String.trim l = "" -> go acc metas (line + 1) rest
+      let last = List.length lines in
+      let rec go acc line = function
+        | [] -> Ok (List.rev acc)
+        | l :: rest when String.trim l = "" -> go acc (line + 1) rest
         | l :: rest -> (
-            match
-              match Json.of_string l with
-              | Error m -> bad ~line "%s" m
-              | Ok j -> (
-                  (* A meta trailer self-identifies; anything else must
-                     be a query entry. *)
-                  match Json.member "journal_meta" j with
-                  | Some _ -> `Meta (parse_meta ~line j)
-                  | None -> `Entry (parse_entry ~line j))
-            with
-            | `Entry e -> go (e :: acc) metas (line + 1) rest
-            | `Meta m -> go acc (m :: metas) (line + 1) rest
-            | exception Bad_line _
-              when line = last_content_line && not ends_with_newline ->
-                Ok (List.rev acc, List.rev metas)
-            | exception Bad_line m -> Error m)
+            match decode ~line l with
+            | Ok x -> go (x :: acc) (line + 1) rest
+            | Error _ when line = last -> Ok (List.rev acc)
+            | Error m -> Error m)
       in
-      go [] [] 1 lines
+      go [] 1 lines
+
+let load_with_meta ~path =
+  read_lines ~path (fun ~line l ->
+      try
+        Ok
+          (match Json.of_string l with
+          | Error m -> bad ~line "%s" m
+          | Ok j -> (
+              (* A meta trailer self-identifies; anything else must be
+                 a query entry. *)
+              match Json.member "journal_meta" j with
+              | Some _ -> Either.Right (parse_meta ~line j)
+              | None -> Either.Left (parse_entry ~line j)))
+      with Bad_line m -> Error m)
+  |> Result.map (List.partition_map Fun.id)
 
 (* Resume only needs the entries; sharded journals' meta trailers are
    skipped transparently, so a merged or sharded journal is a valid

@@ -92,6 +92,18 @@ val load : path:string -> (entry list, string) result
     carrying its 1-based line number.  Meta trailer lines are skipped,
     so sharded and merged journals resume like plain ones. *)
 
+val read_lines :
+  path:string ->
+  (line:int -> string -> ('a, string) result) ->
+  ('a list, string) result
+(** The torn-tail rule of an append-only JSON-lines log (this journal
+    and the serve joblog): every line of the file at [path], decoded in
+    order by [decode ~line text] ([line] is 1-based; blank lines are
+    skipped).  A final line without a trailing newline is the torn
+    tail of an interrupted append and is dropped when it does not
+    decode; any other line [decode] rejects is an [Error] with
+    [decode]'s message, as is an unreadable file. *)
+
 val load_with_meta :
   path:string -> (entry list * meta list, string) result
 (** Like {!load} but also returning the meta trailers — what

@@ -23,14 +23,10 @@ let pp_milp_stats fmt (stats : Dpv_linprog.Milp.stats) =
       stats.Dpv_linprog.Milp.absint_prunes;
   if stats.Dpv_linprog.Milp.absint_incr_hits > 0 then
     Format.fprintf fmt
-      ", incremental: %d hits, %d layers propagated / %d saved%s"
+      ", incremental: %d hits, %d layers propagated / %d saved"
       stats.Dpv_linprog.Milp.absint_incr_hits
       stats.Dpv_linprog.Milp.absint_layers_propagated
-      stats.Dpv_linprog.Milp.absint_layers_saved
-      (if stats.Dpv_linprog.Milp.absint_cache_evictions > 0 then
-         Printf.sprintf ", %d evictions"
-           stats.Dpv_linprog.Milp.absint_cache_evictions
-       else "");
+      stats.Dpv_linprog.Milp.absint_layers_saved;
   if workers > 1 then
     Format.fprintf fmt
       "@,solver: %d workers, nodes/worker [%s], %d steals, max queue depth %d"

@@ -11,6 +11,10 @@ let deadline_after = function
   | None -> None
   | Some budget_s -> Some (now_s () +. budget_s)
 
+(* deadline-jitter: one [expired] check on a finite deadline returns
+   true early. *)
+let deadline_jitter = Faults.site "deadline-jitter"
+
 (* Inclusive, so a zero-second budget is expired from the start even
    when the clock has not ticked since the deadline was minted.  The
    deadline-jitter fault site makes one check on a finite deadline
@@ -18,7 +22,7 @@ let deadline_after = function
    rung, which re-carves from the (not actually expired) budget. *)
 let expired = function
   | None -> false
-  | Some t -> Faults.fire Faults.Deadline_jitter || now_s () >= t
+  | Some t -> Faults.fire deadline_jitter || now_s () >= t
 
 let remaining_s = function
   | None -> None

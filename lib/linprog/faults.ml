@@ -1,122 +1,104 @@
-type site =
-  | Lp_trouble
-  | Pivot_corrupt
-  | Refactor_singular
-  | Deadline_jitter
-  | Task_crash
-  | Journal_crash
-  | Lp_unbounded
-  | Absint_stale
-  | Serve_accept
-  | Serve_torn_frame
-  | Serve_client_gone
-  | Serve_scrape
+type site = {
+  name : string;
+  mutable target : int; (* fires on this occurrence; 0 = never *)
+  count : int Atomic.t;
+  fired_count : int Atomic.t;
+}
 
-let all_sites =
-  [
-    ("lp-trouble", Lp_trouble);
-    ("pivot-corrupt", Pivot_corrupt);
-    ("refactor-singular", Refactor_singular);
-    ("deadline-jitter", Deadline_jitter);
-    ("task-crash", Task_crash);
-    ("journal-crash", Journal_crash);
-    ("lp-unbounded", Lp_unbounded);
-    ("absint-stale", Absint_stale);
-    ("serve-accept", Serve_accept);
-    ("serve-torn-frame", Serve_torn_frame);
-    ("serve-client-gone", Serve_client_gone);
-    ("serve-scrape", Serve_scrape);
-  ]
+(* Registered sites, newest first.  Layers register at module
+   initialization; the lock keeps a late registration safe anyway. *)
+let registry_lock = Mutex.create ()
+let registry : site list ref = ref []
 
-let site_index = function
-  | Lp_trouble -> 0
-  | Pivot_corrupt -> 1
-  | Refactor_singular -> 2
-  | Deadline_jitter -> 3
-  | Task_crash -> 4
-  | Journal_crash -> 5
-  | Lp_unbounded -> 6
-  | Absint_stale -> 7
-  | Serve_accept -> 8
-  | Serve_torn_frame -> 9
-  | Serve_client_gone -> 10
-  | Serve_scrape -> 11
+let registered () = Mutex.protect registry_lock (fun () -> List.rev !registry)
+let names () = List.map (fun s -> s.name) (registered ())
 
-let n_sites = 12
+let site name =
+  Mutex.protect registry_lock (fun () ->
+      if List.exists (fun s -> s.name = name) !registry then
+        invalid_arg
+          (Printf.sprintf "Faults.site: %S is already registered" name);
+      let s =
+        { name; target = 0; count = Atomic.make 0; fired_count = Atomic.make 0 }
+      in
+      registry := s :: !registry;
+      s)
 
-let site_name s = fst (List.nth all_sites (site_index s))
+let find name =
+  match List.find_opt (fun s -> s.name = name) (registered ()) with
+  | Some s -> s
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown fault site %S (known: seed, %s)" name
+           (String.concat ", " (names ())))
 
-(* Armed state.  [targets.(i) = 0] means site [i] never fires.  The
-   enabled flag is the only thing the disabled fast path reads. *)
+(* Armed state.  The enabled flag is the only thing the disabled fast
+   path reads; targets change only while it is off. *)
 let armed = Atomic.make false
 let the_seed = Atomic.make 0
-let targets = Array.make n_sites 0
-let counts = Array.init n_sites (fun _ -> Atomic.make 0)
-let fired_counts = Array.init n_sites (fun _ -> Atomic.make 0)
 
-let reset_counters () =
-  Array.iter (fun c -> Atomic.set c 0) counts;
-  Array.iter (fun c -> Atomic.set c 0) fired_counts
+let reset s =
+  s.target <- 0;
+  Atomic.set s.count 0;
+  Atomic.set s.fired_count 0
 
 let disable () =
   Atomic.set armed false;
   Atomic.set the_seed 0;
-  Array.fill targets 0 n_sites 0;
-  reset_counters ()
+  List.iter reset (registered ())
 
 let configure ?(seed = 0) plan =
+  let plan =
+    List.map
+      (fun (name, n) ->
+        if n < 1 then invalid_arg "Faults.configure: occurrence must be >= 1";
+        (find name, n))
+      plan
+  in
   Atomic.set armed false;
-  Array.fill targets 0 n_sites 0;
-  List.iter
-    (fun (s, n) ->
-      if n < 1 then invalid_arg "Faults.configure: occurrence must be >= 1";
-      targets.(site_index s) <- n)
-    plan;
+  List.iter reset (registered ());
+  List.iter (fun (s, n) -> s.target <- n) plan;
   Atomic.set the_seed seed;
-  reset_counters ();
   if plan <> [] then Atomic.set armed true
 
 let enabled () = Atomic.get armed
 
 let seed () = Atomic.get the_seed
 
-let fire site =
+let fire s =
   if not (Atomic.get armed) then false
   else begin
-    let i = site_index site in
-    let occurrence = 1 + Atomic.fetch_and_add counts.(i) 1 in
-    let hit = targets.(i) > 0 && occurrence = targets.(i) in
+    let occurrence = 1 + Atomic.fetch_and_add s.count 1 in
+    let hit = s.target > 0 && occurrence = s.target in
     if hit then begin
-      Atomic.incr fired_counts.(i);
+      Atomic.incr s.fired_count;
       (* A chaos run with tracing on shows each injection as a marker at
          the instant it fired, on the worker that drew it. *)
       Dpv_obs.Trace.instant
         ~args:[ ("occurrence", string_of_int occurrence) ]
-        ("fault-fire:" ^ site_name site)
+        ("fault-fire:" ^ s.name)
     end;
     hit
   end
 
-let occurrences site = Atomic.get counts.(site_index site)
-let fired site = Atomic.get fired_counts.(site_index site)
+let occurrences name = Atomic.get (find name).count
+let fired name = Atomic.get (find name).fired_count
 
 (* One summary marker per site, fired or not, so a trace is
    self-describing about which injection sites the run passed through.
    Executables call this right before writing the trace. *)
 let trace_sites () =
   List.iter
-    (fun (name, site) ->
+    (fun s ->
       Dpv_obs.Trace.instant
         ~args:
           [
-            ("occurrences", string_of_int (occurrences site));
-            ("fired", string_of_int (fired site));
-            ( "target",
-              string_of_int
-                (if Atomic.get armed then targets.(site_index site) else 0) );
+            ("occurrences", string_of_int (Atomic.get s.count));
+            ("fired", string_of_int (Atomic.get s.fired_count));
+            ("target", string_of_int s.target);
           ]
-        ("fault-site:" ^ name))
-    all_sites
+        ("fault-site:" ^ s.name))
+    (registered ())
 
 let parse_spec spec =
   let parts =
@@ -141,17 +123,13 @@ let parse_spec spec =
             | Some n ->
                 if key = "seed" then go n plan rest
                 else (
-                  match List.assoc_opt key all_sites with
-                  | None ->
-                      Error
-                        (Printf.sprintf
-                           "unknown fault site %S (known: seed, %s)" key
-                           (String.concat ", " (List.map fst all_sites)))
-                  | Some site ->
+                  match find key with
+                  | exception Invalid_argument msg -> Error msg
+                  | _ ->
                       if n < 1 then
                         Error
                           (Printf.sprintf "fault site %S: occurrence must be >= 1" key)
-                      else go seed ((site, n) :: plan) rest)))
+                      else go seed ((key, n) :: plan) rest)))
   in
   go 0 [] parts
 
@@ -165,16 +143,3 @@ let init_from_env () =
       | Error msg ->
           Printf.eprintf "DPV_FAULTS: %s\n%!" msg;
           exit 3)
-
-let describe () =
-  if not (Atomic.get armed) then "disabled"
-  else begin
-    let parts =
-      List.filter_map
-        (fun (name, site) ->
-          let t = targets.(site_index site) in
-          if t = 0 then None else Some (Printf.sprintf "%s=%d" name t))
-        all_sites
-    in
-    Printf.sprintf "seed=%d,%s" (Atomic.get the_seed) (String.concat "," parts)
-  end

@@ -23,7 +23,6 @@ type stats = {
   absint_incr_hits : int;
   absint_layers_propagated : int;
   absint_layers_saved : int;
-  absint_cache_evictions : int;
 }
 
 let empty_stats =
@@ -44,7 +43,6 @@ let empty_stats =
     absint_incr_hits = 0;
     absint_layers_propagated = 0;
     absint_layers_saved = 0;
-    absint_cache_evictions = 0;
   }
 
 (* Slot-wise sum: slot i adds worker i of each solve, so the sub-box
@@ -116,9 +114,6 @@ let counters =
     row "absint_layers_saved" "absint.layers_saved" ~optional:true
       (fun s -> s.absint_layers_saved)
       (fun s v -> { s with absint_layers_saved = v });
-    row "absint_cache_evictions" "absint.cache_evictions" ~optional:true
-      (fun s -> s.absint_cache_evictions)
-      (fun s v -> { s with absint_cache_evictions = v });
   ]
 
 let add_stats a b =

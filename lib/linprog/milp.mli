@@ -82,10 +82,6 @@ type stats = {
                                     cached prefix states (scratch-mode
                                     propagation would have run
                                     [layers_propagated + layers_saved]) *)
-  absint_cache_evictions : int; (** layer states dropped from the
-                                    guide's prefix cache for the memory
-                                    budget (counted once per guide
-                                    instance per evicted layer) *)
 }
 
 val empty_stats : stats
@@ -180,8 +176,8 @@ type guide_factory = {
           use. *)
   stats : unit -> stats;
       (** the guide's work, aggregated over every instance this factory
-          created (a DeepPoly guide fills the four incremental
-          counters, [absint_incr_hits] to [absint_cache_evictions];
+          created (a DeepPoly guide fills the three incremental
+          counters, [absint_incr_hits] to [absint_layers_saved];
           every other field stays 0).  The search snapshots it before
           and after and adds the delta of each row of {!counters}, so
           factories may be reused across solves. *)

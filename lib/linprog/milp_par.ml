@@ -280,6 +280,12 @@ let branch_var (options : Milp.options) guidance node solution =
       find_branch_var_ordered ~tol node solution widths
   | _ -> Milp.find_branch_var ~tol node solution
 
+(* lp-unbounded: a node's LP relaxation reports [Unbounded].  With
+   exact arithmetic this is impossible below a bounded root, so the
+   site models the numerical artifact the search must survive without
+   abandoning it. *)
+let lp_unbounded = Faults.site "lp-unbounded"
+
 (* One node: returns its children, preferred first, or [] when the node
    closes.  The guide, when armed, runs before the LP: a pruned node
    costs no simplex work at all, and phase fixes shrink the subtree the
@@ -308,7 +314,7 @@ let step s w node =
       let lp_started = Clock.now_s () in
       let status = solve_lp s w node in
       let status =
-        if Faults.fire Faults.Lp_unbounded then Simplex.Unbounded else status
+        if Faults.fire lp_unbounded then Simplex.Unbounded else status
       in
       let lp_s = Clock.now_s () -. lp_started in
       w.lp_time_s <- w.lp_time_s +. lp_s;

@@ -1293,13 +1293,16 @@ let factorize h =
   f.grown <- 0;
   f.updates <- 0
 
+(* refactor-singular: a refactorization reports a singular basis. *)
+let refactor_singular = Faults.site "refactor-singular"
+
 (* Refactorize the basis, then recompute xb exactly.  The updated basic
    values must agree with the recomputed ones to 1e-6 of the largest,
    the residual check's relative tolerance: a wider gap means the
    factors or xb were corrupted since the last factorization, which a
    silent refresh would hide. *)
 let refactorize h =
-  if Faults.fire Faults.Refactor_singular then
+  if Faults.fire refactor_singular then
     raise (Numerical_trouble "injected singular refactorization");
   let trace_t0 = Dpv_obs.Trace.begin_ns () in
   factorize h;
@@ -1400,6 +1403,11 @@ let ft_update f m ~r ~alpha_r =
   && f.updates < max_updates
   && f.grown <= 2 * (f.fresh + m)
 
+(* pivot-corrupt: silently scribble on a U diagonal of the basis
+   factors and the matching basic value after a pivot; caught by the
+   next refactorization's check or the post-solve residual check. *)
+let pivot_corrupt = Faults.site "pivot-corrupt"
+
 (* Column q enters the basis in row r: update the factors, or
    refactorize when the update asks for it. *)
 let apply_pivot h ~r ~q ~newval =
@@ -1419,7 +1427,7 @@ let apply_pivot h ~r ~q ~newval =
      that compare against the constraint columns can catch this — the
      next refactorization's basic-value check or the post-solve
      residual check — which is the point. *)
-  if Faults.fire Faults.Pivot_corrupt then begin
+  if Faults.fire pivot_corrupt then begin
     let s = abs (Faults.seed ()) in
     let c = ((s * 31) + 17) mod h.m in
     let magnitude = 2.0 +. float_of_int (s mod 7) in
@@ -1893,6 +1901,11 @@ let bounds_conflict h =
   done;
   !conflict
 
+(* lp-trouble: raise [Numerical_trouble] at [resolve] entry, outside
+   its internal fallback, so the exception escapes to the query
+   level. *)
+let lp_trouble = Faults.site "lp-trouble"
+
 let resolve ?(bound_changes = []) h =
   if h.lu == released_lu then invalid_arg "Simplex.resolve: released handle";
   List.iter (fun (v, lo, up) -> set_var_bounds h v ~lo ~up) bound_changes;
@@ -1900,7 +1913,7 @@ let resolve ?(bound_changes = []) h =
      below on purpose: it models trouble the internal rescue cannot
      absorb, so the exception escapes to the caller (the query-level
      retry ladder solves on [solve_dense] instead). *)
-  if Faults.fire Faults.Lp_trouble then
+  if Faults.fire lp_trouble then
     raise (Numerical_trouble "injected numerical trouble");
   let warm = h.has_basis in
   if warm then h.n_warm <- h.n_warm + 1 else h.n_cold <- h.n_cold + 1;

@@ -22,6 +22,11 @@ let rec really_read fd buf ofs len =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         Error `Eof
 
+(* serve-torn-frame: a client frame arrives torn, as if the peer died
+   (or lied about its length) mid-frame.  The server must answer that
+   connection with a framed error and close that connection only. *)
+let serve_torn_frame = Faults.site "serve-torn-frame"
+
 (* The header is read byte-by-byte: it is at most [max_header_digits]
    bytes, and stopping exactly at its '\n' keeps this module free of
    read-ahead buffering state. *)
@@ -38,7 +43,7 @@ let read_header fd =
            arriving: a stream dies MID-frame, never while parked idle
            between frames.  Firing on an idle read would let the
            injected error reply race the peer's own write. *)
-        if Buffer.length b = 0 && Faults.fire Faults.Serve_torn_frame then
+        if Buffer.length b = 0 && Faults.fire serve_torn_frame then
           Error (Torn "injected torn frame")
         else (
         match Bytes.get one 0 with
@@ -91,8 +96,13 @@ let rec really_write fd buf ofs len =
         Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
         Error `Eof
 
+(* serve-client-gone: a streamed reply write fails as if the peer
+   disconnected mid-stream.  The job must keep running to its journal:
+   the server records the client loss and survives. *)
+let serve_client_gone = Faults.site "serve-client-gone"
+
 let write fd payload =
-  if Faults.fire Faults.Serve_client_gone then Error Closed
+  if Faults.fire serve_client_gone then Error Closed
   else begin
     let header = Printf.sprintf "%d\n" (String.length payload) in
     let msg = header ^ payload ^ "\n" in

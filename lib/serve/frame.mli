@@ -7,9 +7,9 @@
     proportional to it.
 
     Reads and writes are blocking and whole-frame.  Two injection
-    sites ({!Dpv_linprog.Faults.Serve_torn_frame},
-    {!Dpv_linprog.Faults.Serve_client_gone}) let chaos tests fake a
-    stream dying mid-frame without a misbehaving peer. *)
+    sites ([serve-torn-frame], [serve-client-gone];
+    {!Dpv_linprog.Faults}) let chaos tests fake a stream dying
+    mid-frame without a misbehaving peer. *)
 
 type error =
   | Closed

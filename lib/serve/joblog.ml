@@ -3,9 +3,9 @@ module Json = Dpv_obs.Json
 (* The server's own journal: one JSON line per lifecycle event,
    appended and fsynced BEFORE the event's consequences can happen.
    Recovery is a pure fold over the lines — accepted jobs with no
-   finished record are re-run from their persisted spec.  Torn tails
-   (a crash mid-append) are ignored, same contract as
-   {!Dpv_core.Journal}. *)
+   finished record are re-run from their persisted spec.  Lines are
+   read by {!Dpv_core.Journal.read_lines}, so a torn tail (a crash
+   mid-append) is dropped under the campaign journal's rule. *)
 
 type event =
   | Accepted of {
@@ -110,33 +110,9 @@ let append ~path event =
 
 let load ~path =
   if not (Sys.file_exists path) then Ok []
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec lines acc =
-          match input_line ic with
-          | line -> lines (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let all = lines [] in
-        let n = List.length all in
-        let rec decode_all i acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest -> (
-              match decode line with
-              | Ok e -> decode_all (i + 1) (e :: acc) rest
-              | Error msg ->
-                  if i = n - 1 then
-                    (* Torn tail: the process died mid-append.  Every
-                       complete line before it is intact. *)
-                    Ok (List.rev acc)
-                  else
-                    Error (Printf.sprintf "%s, line %d: %s" path (i + 1) msg))
-        in
-        decode_all 0 [] all)
-  end
+  else
+    Dpv_core.Journal.read_lines ~path (fun ~line text ->
+        Result.map_error (Printf.sprintf "line %d: %s" line) (decode text))
 
 let pending events =
   let finished = Hashtbl.create 8 in

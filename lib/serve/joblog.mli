@@ -35,9 +35,10 @@ val append : path:string -> event -> unit
     non-guarantee). *)
 
 val load : path:string -> (event list, string) result
-(** All events, in append order.  A missing file is [Ok []]; a torn
-    final line (crash mid-append) is dropped; corruption anywhere else
-    is an [Error] naming the line. *)
+(** All events, in append order.  A missing file is [Ok []]; an
+    unterminated final line (crash mid-append) is dropped; corruption
+    anywhere else, a newline-terminated final line included, is an
+    [Error] naming the line ({!Dpv_core.Journal.read_lines}). *)
 
 val pending :
   event list ->

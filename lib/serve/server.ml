@@ -617,10 +617,14 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
   in
   mkdir_p config.state_dir;
   let joblog_path = Filename.concat config.state_dir "joblog.jsonl" in
+  (* A damaged joblog is refused, not read as empty: new events would
+     append after the damage, and every later restart would drop the
+     jobs it holds again. *)
   let pending =
     match Joblog.load ~path:joblog_path with
     | Ok events -> Joblog.pending events
-    | Error _ -> []
+    | Error e ->
+        failwith (Printf.sprintf "cannot recover from %s: %s" joblog_path e)
   in
   let t =
     {
@@ -783,6 +787,10 @@ let has_substring hay needle =
 
 let max_scrape_head = 16 * 1024
 
+(* serve-scrape: one scrape response is torn: the responder declares
+   more bytes than it sends and drops the connection mid-body. *)
+let serve_scrape = Faults.site "serve-scrape"
+
 let handle_scrape fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -823,7 +831,7 @@ let handle_scrape fd =
     else begin
       Metrics.incr m_scrapes 1;
       let body = Dpv_obs.Expo.render (Metrics.snapshot ()) in
-      if Faults.fire Faults.Serve_scrape then begin
+      if Faults.fire serve_scrape then begin
         (* Injected tear: promise twice the bytes, send half, vanish.
            The scraper sees a truncated response; the server must shrug
            — this connection closes and nothing else notices. *)
@@ -846,6 +854,12 @@ let handle_scrape fd =
     end
   with _ -> ()
 
+(* serve-accept: the accept loop hiccups once: the freshly accepted
+   connection dies as if the peer vanished between [accept] and the
+   handler handoff.  A transient accept failure is never a server
+   exit. *)
+let serve_accept = Faults.site "serve-accept"
+
 let serve ?scrape_fd t listen_fd =
   let watched = listen_fd :: Option.to_list scrape_fd in
   while not (Atomic.get t.draining) do
@@ -866,7 +880,7 @@ let serve ?scrape_fd t listen_fd =
             else
               match Unix.accept listen_fd with
               | fd, _ ->
-                  if Faults.fire Faults.Serve_accept then begin
+                  if Faults.fire serve_accept then begin
                     (* The injected accept hiccup: the connection dies
                        between accept and handoff.  Absorbed — the loop
                        keeps listening. *)

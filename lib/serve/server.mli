@@ -66,7 +66,8 @@ val create :
     refused.  [before_execute] (tests) runs on the executor thread
     with the job id just before each job starts.  Ignores [SIGPIPE]
     process-wide — a vanished peer must be an error result, not a
-    kill. *)
+    kill.  Raises [Failure "cannot recover from PATH: line N: ..."]
+    when the joblog does not load, leaving it untouched. *)
 
 val recovered : t -> int
 (** Jobs re-queued from the joblog at startup. *)
@@ -80,14 +81,14 @@ val listen_tcp : port:int -> Unix.file_descr
 val serve : ?scrape_fd:Unix.file_descr -> t -> Unix.file_descr -> unit
 (** Accept loop: one handler thread per connection, until a drain is
     requested — then close the listener(s), run the drain, and return.
-    The {!Dpv_linprog.Faults.Serve_accept} site injects an accept-time
-    hiccup here; the loop absorbs it.
+    The [serve-accept] fault site ({!Dpv_linprog.Faults}) injects an
+    accept-time hiccup here; the loop absorbs it.
 
     [scrape_fd] (a second listener, typically {!listen_tcp}) serves
     GET-only HTTP metrics scrapes in OpenMetrics text format
     ({!Dpv_obs.Expo.render}) — one short-lived thread per scrape, any
-    failure (including the {!Dpv_linprog.Faults.Serve_scrape} injected
-    tear) closing that connection only. *)
+    failure (including the tear the [serve-scrape] fault site injects)
+    closing that connection only. *)
 
 val request_drain : t -> unit
 (** Flag the drain; async-signal-safe (the CLI calls it from SIGTERM

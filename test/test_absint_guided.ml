@@ -66,7 +66,7 @@ let seq_options = { Milp.default_options with workers = 1 }
 let test_root_unbounded_still_unbounded () =
   (* At the root an Unbounded relaxation is an honest report and must
      keep surfacing as the Unbounded verdict. *)
-  with_faults [ (Faults.Lp_unbounded, 1) ] @@ fun () ->
+  with_faults [ ("lp-unbounded", 1) ] @@ fun () ->
   match Milp_par.solve ~options:seq_options (branching_model ()) with
   | Milp.Unbounded -> ()
   | r -> Alcotest.failf "expected root Unbounded, got %s" (classification r)
@@ -77,7 +77,7 @@ let test_nonroot_unbounded_truncates_sequential () =
      bounded 0/1 program.  The fixed solver drops the subtree, keeps
      the sibling's incumbent, and reports Feasible (a truncated search
      may never claim Optimal). *)
-  with_faults [ (Faults.Lp_unbounded, 2) ] @@ fun () ->
+  with_faults [ ("lp-unbounded", 2) ] @@ fun () ->
   let model = branching_model () in
   match Milp_par.solve ~options:seq_options model with
   | Milp.Feasible { objective; solution } ->
@@ -96,7 +96,7 @@ let test_nonroot_unbounded_infeasible_model_inconclusive () =
      was truncated the solver no longer visited the whole tree: the
      honest answer is Node_limit (inconclusive), not Infeasible and
      certainly not Unbounded. *)
-  with_faults [ (Faults.Lp_unbounded, 2) ] @@ fun () ->
+  with_faults [ ("lp-unbounded", 2) ] @@ fun () ->
   let m = Lp.create () in
   let m, x = Lp.add_var ~kind:Lp.Binary m in
   let m = Lp.add_constraint m [ (2.0, x) ] Lp.Eq 1.0 in
@@ -110,7 +110,7 @@ let test_nonroot_unbounded_truncates_parallel () =
   (* Same property under the work-stealing solver: the root is always
      LP-solve occurrence 1 (workers start from the seeded root alone),
      so occurrence 2 is some non-root node in whichever subtree. *)
-  with_faults [ (Faults.Lp_unbounded, 2) ] @@ fun () ->
+  with_faults [ ("lp-unbounded", 2) ] @@ fun () ->
   let model = branching_model () in
   let options = { Milp.default_options with workers = 2 } in
   match Milp_par.solve ~options model with
@@ -600,7 +600,7 @@ let test_campaign_bisect_crash_and_resume () =
      sub-box of the last query with survivors: "neg-oct-deep", which
      has no witness to decide it despite the crash. *)
   let crashed =
-    with_faults [ (Faults.Task_crash, 1) ] (fun () ->
+    with_faults [ ("task-crash", 1) ] (fun () ->
         run_bisected ~journal:path ())
   in
   Alcotest.(check int) "one crashed query" 1 crashed.Campaign.crashed;
@@ -779,14 +779,14 @@ let test_absint_stale_detected_and_recovered () =
      search bit-identical to a clean run. *)
   let clean = guided_verify () in
   let fallbacks = Metrics.counter "absint.stale_fallbacks" in
-  with_faults [ (Faults.Absint_stale, 1) ] @@ fun () ->
+  with_faults [ ("absint-stale", 1) ] @@ fun () ->
   let before = Metrics.counter_value fallbacks in
   let faulted =
     Verify.verify ~absint:true ~perception:deep_perception
       ~characterizer:deep_characterizer ~psi:deep_psi ~bounds:deep_bounds ()
   in
   Alcotest.(check int) "the stale site fired exactly once" 1
-    (Faults.fired Faults.Absint_stale);
+    (Faults.fired "absint-stale");
   Alcotest.(check bool) "cross-check caught the stale state" true
     (Metrics.counter_value fallbacks - before >= 1);
   Alcotest.(check string) "verdict survives the injection"

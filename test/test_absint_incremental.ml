@@ -9,8 +9,7 @@
    and randomized fixing sequences: extensions (a child fixes one more
    phase), retractions (backtracking), full redraws (a work-steal
    landing in an unrelated subtree), contradictory fixings (empty
-   regions), degenerate float inputs, and tiny cache budgets that
-   force the eviction path. *)
+   regions) and degenerate float inputs. *)
 
 module Interval = Dpv_absint.Interval
 module Deeppoly = Dpv_absint.Deeppoly
@@ -110,14 +109,14 @@ let random_phase rng =
   | 1 -> Deeppoly.Inactive
   | _ -> Deeppoly.Unknown
 
-(* One randomized episode: a network, a box, a cache budget, and a
-   sequence of fixing mutations replayed against both engines. *)
-let run_episode rng ~budget_floats ~steps =
+(* One randomized episode: a network, a box, and a sequence of fixing
+   mutations replayed against both engines. *)
+let run_episode rng ~steps =
   let input_dim = 1 + Rng.int rng 3 in
   let net = random_mixed_net rng ~input_dim ~blocks:(1 + Rng.int rng 4) in
   let box = random_box rng input_dim in
   let plan = Deeppoly.Resumable.plan net in
-  let st = Deeppoly.Resumable.create ?budget_floats plan box in
+  let st = Deeppoly.Resumable.create plan box in
   let n = Deeppoly.Resumable.num_layers plan in
   Alcotest.(check int) "plan layer count" (Network.num_layers net) n;
   let relus = relu_layers net in
@@ -194,16 +193,7 @@ let run_episode rng ~budget_floats ~steps =
 let test_resumable_matches_scratch () =
   let rng = Rng.create 20260881 in
   for _ = 1 to 40 do
-    run_episode rng ~budget_floats:None ~steps:12
-  done
-
-let test_resumable_matches_scratch_evicted () =
-  (* Tiny budgets force most (sometimes all) layers through the
-     ping-pong eviction path; results must not change by a bit. *)
-  let rng = Rng.create 20260882 in
-  for _ = 1 to 25 do
-    let budget = Rng.int rng 200 in
-    run_episode rng ~budget_floats:(Some budget) ~steps:10
+    run_episode rng ~steps:12
   done
 
 let test_resumable_degenerate_floats () =
@@ -308,8 +298,6 @@ let tests =
   [
     Alcotest.test_case "resumable ≡ scratch (random episodes)" `Quick
       test_resumable_matches_scratch;
-    Alcotest.test_case "resumable ≡ scratch under eviction budgets" `Quick
-      test_resumable_matches_scratch_evicted;
     Alcotest.test_case "resumable mirrors degenerate-float fallbacks" `Quick
       test_resumable_degenerate_floats;
     Alcotest.test_case "empty region then recovery" `Quick

@@ -328,7 +328,7 @@ let test_shard_merge_with_crash_injection () =
      other verdict. *)
   let shard0 =
     Fun.protect ~finally:Faults.disable (fun () ->
-        Faults.configure [ (Faults.Task_crash, 1) ];
+        Faults.configure [ ("task-crash", 1) ];
         journaled_shard ~n qs 0)
   in
   let shard1 = journaled_shard ~n qs 1 in

@@ -219,7 +219,6 @@ let work (st : Milp.stats) =
     st.Milp.absint_incr_hits;
     st.Milp.absint_layers_propagated;
     st.Milp.absint_layers_saved;
-    st.Milp.absint_cache_evictions;
   ]
 
 let result_word = function

@@ -15,6 +15,8 @@
    solve, which keeps the expected outcome of each spec obvious. *)
 
 module Faults = Dpv_linprog.Faults
+module Json = Dpv_obs.Json
+module Trace = Dpv_obs.Trace
 module Lp = Dpv_linprog.Lp
 module Simplex = Dpv_linprog.Simplex
 module Milp = Dpv_linprog.Milp
@@ -46,22 +48,58 @@ let with_temp_file f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-(* ---- spec parsing and fire semantics ---- *)
+(* ---- the site registry, spec parsing and fire semantics ---- *)
+
+(* Sites of this test's own: the harness semantics are checked on
+   them, so no production site is fired by hand. *)
+let probe = Faults.site "test-probe"
+let other_probe = Faults.site "test-probe-other"
+
+(* Every site a layer of dpv declares.  The test binary links every
+   layer, so it holds each of them, as [dpv] does. *)
+let production_sites =
+  [
+    "lp-trouble"; "pivot-corrupt"; "refactor-singular"; "deadline-jitter";
+    "task-crash"; "journal-crash"; "lp-unbounded"; "absint-stale";
+    "serve-accept"; "serve-torn-frame"; "serve-client-gone"; "serve-scrape";
+  ]
+
+let raises_invalid_arg f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
+
+let test_registry () =
+  Faults.disable ();
+  Alcotest.(check (list string))
+    "each production site and probe is registered exactly once"
+    (List.sort compare ("test-probe" :: "test-probe-other" :: production_sites))
+    (List.sort compare (Faults.names ()));
+  Alcotest.(check bool) "a taken name is refused" true
+    (raises_invalid_arg (fun () -> Faults.site "task-crash"));
+  Alcotest.(check bool) "configure refuses an unregistered name" true
+    (raises_invalid_arg (fun () -> Faults.configure [ ("bogus-site", 1) ]));
+  Alcotest.(check bool) "and arms nothing" false (Faults.enabled ())
 
 let test_parse_spec () =
   (match Faults.parse_spec "seed=7,task-crash=2,deadline-jitter=1" with
-  | Ok (7, [ (Faults.Task_crash, 2); (Faults.Deadline_jitter, 1) ]) -> ()
+  | Ok (7, [ ("task-crash", 2); ("deadline-jitter", 1) ]) -> ()
   | Ok _ -> Alcotest.fail "parsed into the wrong plan"
   | Error e -> Alcotest.failf "valid spec rejected: %s" e);
   (match Faults.parse_spec "lp-trouble=1" with
-  | Ok (0, [ (Faults.Lp_trouble, 1) ]) -> ()
+  | Ok (0, [ ("lp-trouble", 1) ]) -> ()
   | _ -> Alcotest.fail "seed should default to 0");
+  (match Faults.parse_spec "bogus-site=1" with
+  | Error e ->
+      List.iter
+        (fun site ->
+          Alcotest.(check bool) ("the error lists " ^ site) true
+            (contains ~needle:site e))
+        (Faults.names ())
+  | Ok _ -> Alcotest.fail "an unregistered site must be rejected");
   let expect_error spec =
     match Faults.parse_spec spec with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "spec %S should be rejected" spec
   in
-  expect_error "bogus-site=1";
   expect_error "task-crash=0";
   expect_error "task-crash=x";
   expect_error "task-crash"
@@ -70,22 +108,55 @@ let test_disabled_is_inert () =
   Faults.disable ();
   Alcotest.(check bool) "disabled" false (Faults.enabled ());
   for _ = 1 to 5 do
-    Alcotest.(check bool) "never fires" false (Faults.fire Faults.Lp_trouble)
+    Alcotest.(check bool) "never fires" false (Faults.fire probe)
   done;
   Alcotest.(check int) "disabled path does not even count occurrences" 0
-    (Faults.occurrences Faults.Lp_trouble);
-  Alcotest.(check string) "describe" "disabled" (Faults.describe ())
+    (Faults.occurrences "test-probe")
 
 let test_fires_on_nth_once () =
-  with_faults ~seed:3 [ (Faults.Task_crash, 2) ] (fun () ->
-      let fires = List.init 4 (fun _ -> Faults.fire Faults.Task_crash) in
+  with_faults ~seed:3 [ ("test-probe", 2) ] (fun () ->
+      let fires = List.init 4 (fun _ -> Faults.fire probe) in
       Alcotest.(check (list bool)) "fires exactly on the 2nd occurrence"
         [ false; true; false; false ] fires;
-      Alcotest.(check int) "fired once" 1 (Faults.fired Faults.Task_crash);
+      Alcotest.(check int) "fired once" 1 (Faults.fired "test-probe");
       Alcotest.(check int) "all occurrences counted" 4
-        (Faults.occurrences Faults.Task_crash);
+        (Faults.occurrences "test-probe");
       Alcotest.(check bool) "other sites untouched" false
-        (Faults.fire Faults.Journal_crash))
+        (Faults.fire other_probe))
+
+(* A written trace names every registered site once, with its counts. *)
+let test_trace_sites () =
+  Fun.protect ~finally:Trace.disable @@ fun () ->
+  Trace.configure ();
+  with_faults [ ("test-probe", 1) ] (fun () ->
+      ignore (Faults.fire probe);
+      Faults.trace_sites ());
+  let events =
+    match Json.of_string (Trace.to_json ()) with
+    | Ok j ->
+        Option.get (Option.bind (Json.member "traceEvents" j) Json.to_list)
+    | Error e -> Alcotest.failf "trace does not parse: %s" e
+  in
+  let str key j = Option.bind (Json.member key j) Json.to_string in
+  let prefix = "fault-site:" in
+  let plen = String.length prefix in
+  let stamps =
+    List.filter_map
+      (fun e ->
+        match str "name" e with
+        | Some n when String.starts_with ~prefix n ->
+            Some (String.sub n plen (String.length n - plen), e)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list string)) "one fault-site event per registered site"
+    (Faults.names ()) (List.map fst stamps);
+  let probe_args =
+    Option.get (Json.member "args" (List.assoc "test-probe" stamps))
+  in
+  Alcotest.(check (list (option string))) "the probe's stamp carries its counts"
+    [ Some "1"; Some "1"; Some "1" ]
+    (List.map (fun k -> str k probe_args) [ "occurrences"; "fired"; "target" ])
 
 (* ---- simplex recovery ---- *)
 
@@ -136,10 +207,10 @@ let test_pivot_corruption_rescued () =
   let model, _ = big_lp () in
   let reference = Simplex.solve_dense model in
   let handle = Simplex.create model in
-  with_faults ~seed:11 [ (Faults.Pivot_corrupt, 1) ] (fun () ->
+  with_faults ~seed:11 [ ("pivot-corrupt", 1) ] (fun () ->
       check_status_agrees "corrupted solve" (Simplex.resolve handle) reference;
       Alcotest.(check int) "the corruption actually happened" 1
-        (Faults.fired Faults.Pivot_corrupt);
+        (Faults.fired "pivot-corrupt");
       let c = Simplex.counters handle in
       Alcotest.(check bool) "the dense fallback rescued the solve" true
         (c.Simplex.fallbacks >= 1));
@@ -159,9 +230,9 @@ let test_singular_refactorization_recovery () =
   let flip_set = List.init 40 Fun.id in
   (* mirror of the bounds currently loaded into the handle *)
   let current = ref model0 in
-  with_faults ~seed:5 [ (Faults.Refactor_singular, 1) ] (fun () ->
+  with_faults ~seed:5 [ ("refactor-singular", 1) ] (fun () ->
       let round = ref 0 in
-      while Faults.fired Faults.Refactor_singular = 0 && !round < 200 do
+      while Faults.fired "refactor-singular" = 0 && !round < 200 do
         incr round;
         let changes =
           List.map
@@ -181,7 +252,7 @@ let test_singular_refactorization_recovery () =
         ignore (Simplex.resolve ~bound_changes:changes handle)
       done;
       Alcotest.(check int) "the injected singularity was reached" 1
-        (Faults.fired Faults.Refactor_singular);
+        (Faults.fired "refactor-singular");
       let c = Simplex.counters handle in
       Alcotest.(check bool) "rescued by the dense fallback" true
         (c.Simplex.fallbacks >= 1));
@@ -197,7 +268,7 @@ let test_singular_refactorization_recovery () =
 let test_lp_trouble_escapes_resolve () =
   let model, _ = big_lp () in
   let handle = Simplex.create model in
-  with_faults [ (Faults.Lp_trouble, 1) ] (fun () ->
+  with_faults [ ("lp-trouble", 1) ] (fun () ->
       (match Simplex.resolve handle with
       | exception Simplex.Numerical_trouble _ -> ()
       | _ -> Alcotest.fail "expected Numerical_trouble to escape resolve");
@@ -274,7 +345,7 @@ let clean_verdicts () =
 let test_campaign_dense_retry () =
   let clean = clean_verdicts () in
   let report =
-    with_faults [ (Faults.Lp_trouble, 1) ] (fun () ->
+    with_faults [ ("lp-trouble", 1) ] (fun () ->
         Campaign.run ~runners:1 ~perception (box_queries ()))
   in
   Alcotest.(check (list string)) "verdicts match the clean run" clean
@@ -302,7 +373,7 @@ let test_campaign_dense_retry () =
 let test_campaign_deadline_retry () =
   let clean = clean_verdicts () in
   let report =
-    with_faults [ (Faults.Deadline_jitter, 2) ] (fun () ->
+    with_faults [ ("deadline-jitter", 2) ] (fun () ->
         Campaign.run ~runners:1 ~budget_s:60.0 ~perception (box_queries ()))
   in
   Alcotest.(check (list string)) "verdicts match the clean run" clean
@@ -352,7 +423,7 @@ let test_deadline_retry_keeps_query_limit () =
 let test_campaign_crash_isolation () =
   let clean = clean_verdicts () in
   let report =
-    with_faults [ (Faults.Task_crash, 2) ] (fun () ->
+    with_faults [ ("task-crash", 2) ] (fun () ->
         Campaign.run ~runners:1 ~perception (box_queries ()))
   in
   Alcotest.(check int) "one crash" 1 report.Campaign.crashed;
@@ -412,7 +483,7 @@ let test_campaign_phase1_crash_isolation () =
 let test_campaign_journal_write_failure () =
   with_temp_file (fun path ->
       let report =
-        with_faults [ (Faults.Journal_crash, 1) ] (fun () ->
+        with_faults [ ("journal-crash", 1) ] (fun () ->
             Campaign.run ~runners:1 ~journal:path ~perception (box_queries ()))
       in
       Alcotest.(check int) "one journal write failure" 1
@@ -465,11 +536,15 @@ let test_campaign_journal_resume () =
 
 let tests =
   [
+    Alcotest.test_case "registry: every site once, unknown names refused"
+      `Quick test_registry;
     Alcotest.test_case "parse_spec" `Quick test_parse_spec;
     Alcotest.test_case "disabled harness is inert" `Quick
       test_disabled_is_inert;
     Alcotest.test_case "fires on the nth occurrence, once" `Quick
       test_fires_on_nth_once;
+    Alcotest.test_case "trace_sites stamps every registered site" `Quick
+      test_trace_sites;
     Alcotest.test_case "pivot corruption rescued by residual check" `Quick
       test_pivot_corruption_rescued;
     Alcotest.test_case "singular refactorization recovery" `Quick

@@ -266,12 +266,20 @@ let test_joblog_mid_file_corruption_is_error () =
   let dir = temp_dir "dpv-joblog" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "joblog.jsonl" in
-  write_file path
-    "not json at all\n{\"event\": \"finished\", \"job\": \"a\", \"exit_code\": 0}\n";
-  match Joblog.load ~path with
-  | Error e ->
-      Alcotest.(check bool) ("error names the line: " ^ e) true (contains e "1")
-  | Ok _ -> Alcotest.fail "mid-file corruption must be a hard error"
+  let finished =
+    "{\"event\": \"finished\", \"job\": \"a\", \"exit_code\": 0}\n"
+  in
+  (* A bad final line that ends in a newline was written whole: damage,
+     not a torn append. *)
+  List.iter
+    (fun (contents, line) ->
+      write_file path contents;
+      match Joblog.load ~path with
+      | Error e ->
+          Alcotest.(check bool) ("error names the line: " ^ e) true
+            (contains e (Printf.sprintf "line %d:" line))
+      | Ok _ -> Alcotest.fail "mid-file corruption must be a hard error")
+    [ ("not json at all\n" ^ finished, 1); (finished ^ "not json at all\n", 2) ]
 
 let test_joblog_missing_file_empty () =
   Alcotest.(check int) "missing joblog is an empty history" 0
@@ -658,6 +666,44 @@ let test_serve_unloadable_journal_fails_job () =
   Alcotest.(check (option int)) "the joblog records exit 4" (Some 4)
     (List.nth_opt finished (List.length finished - 1))
 
+(* A damaged joblog stops the server from starting: read as empty, its
+   pending jobs would never run, and events appended after the damage
+   would be dropped again on every restart. *)
+let test_serve_damaged_joblog_refuses_start () =
+  let dir = temp_dir "dpv-serve" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let spec, parsed, prepared = Lazy.force pipeline in
+  let state_dir = Filename.concat dir "state" in
+  Unix.mkdir state_dir 0o755;
+  let path = Filename.concat state_dir "joblog.jsonl" in
+  write_file path "not json\n";
+  Joblog.append ~path
+    (Joblog.Accepted
+       {
+         job = "aaa";
+         name = "pending";
+         priority = 0;
+         budget_s = None;
+         deadline_s = None;
+         trace = "";
+         spec = sample_spec;
+       });
+  let slurp () = In_channel.with_open_bin path In_channel.input_all in
+  let before = slurp () in
+  (match
+     Server.create
+       ~config:(Server.default_config ~state_dir)
+       ~perception:prepared.Workflow.perception
+       ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+   with
+  | _ -> Alcotest.fail "a damaged joblog must not start a server"
+  | exception Failure msg ->
+      let want = Printf.sprintf "cannot recover from %s: line 1: " path in
+      Alcotest.(check bool) ("the error names the line: " ^ msg) true
+        (contains msg want));
+  Alcotest.(check string) "the joblog is left byte for byte" before
+    (slurp ())
+
 let test_serve_warm_cache_across_jobs () =
   with_server @@ fun _server ~sock ~state_dir:_ ->
   let hits () = Metrics.counter_value (Metrics.counter "campaign.cache_hits") in
@@ -732,7 +778,7 @@ let with_faults plan f =
 
 let test_fault_serve_accept_absorbed () =
   with_server @@ fun _server ~sock ~state_dir:_ ->
-  with_faults [ (Faults.Serve_accept, 1) ] @@ fun () ->
+  with_faults [ ("serve-accept", 1) ] @@ fun () ->
   (* First connection: the accept-side hiccup closes it before the
      handler exists; the client sees EOF, the server keeps listening. *)
   let fd = Sclient.connect_unix ~path:sock in
@@ -740,7 +786,7 @@ let test_fault_serve_accept_absorbed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "the injected accept hiccup should kill this one");
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Alcotest.(check int) "the hiccup fired" 1 (Faults.fired Faults.Serve_accept);
+  Alcotest.(check int) "the hiccup fired" 1 (Faults.fired "serve-accept");
   (* Second connection: alive and answering. *)
   let fd = Sclient.connect_unix ~path:sock in
   Fun.protect
@@ -794,7 +840,7 @@ let test_fault_serve_torn_frame_isolates_connection () =
      handler's read, so the ping below is what tears the stream: the
      client's write always lands before the framed error reply (no
      race).  The client reads raw, consuming no occurrences. *)
-  ( with_faults [ (Faults.Serve_torn_frame, 1) ] @@ fun () ->
+  ( with_faults [ ("serve-torn-frame", 1) ] @@ fun () ->
     (match Frame.write fd (Json.encode (Json.Obj [ ("op", Json.Str "ping") ])) with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "client write should succeed");
@@ -826,7 +872,7 @@ let test_fault_serve_client_gone_job_survives () =
   (* Occurrences of the write site, in causal order: 1 = this client's
      submit frame, 2 = the server's accepted frame, 3 = the first
      verdict — which is where the peer "vanishes". *)
-  with_faults [ (Faults.Serve_client_gone, 3) ] @@ fun () ->
+  with_faults [ ("serve-client-gone", 3) ] @@ fun () ->
   let outcome, frames =
     submit_collect sock (submission ~name:"ghost" [ query_obj "gq" ])
   in
@@ -1009,7 +1055,7 @@ let test_serve_scrape_endpoint_live () =
 
 let test_fault_serve_scrape_isolates_connection () =
   with_scrape_server @@ fun _server ~sock ~state_dir:_ ~scrape_port:port ->
-  with_faults [ (Faults.Serve_scrape, 1) ] @@ fun () ->
+  with_faults [ ("serve-scrape", 1) ] @@ fun () ->
   (* The injected tear declares more bytes than it sends: the body we
      receive before the connection drops is short of the header's
      Content-Length. *)
@@ -1031,7 +1077,7 @@ let test_fault_serve_scrape_isolates_connection () =
       Alcotest.(check bool) "the body is torn short" true
         (String.length (http_body torn) < n)
   | None -> Alcotest.failf "torn response has no Content-Length: %S" torn);
-  Alcotest.(check int) "the tear fired" 1 (Faults.fired Faults.Serve_scrape);
+  Alcotest.(check int) "the tear fired" 1 (Faults.fired "serve-scrape");
   (* Only that connection died: the next scrape is whole, and jobs are
      untouched. *)
   let whole = scrape ~port in
@@ -1462,6 +1508,8 @@ let tests =
      test_serve_resubmit_replays_from_journal);
     ("serve: unloadable journal fails the job", `Slow,
      test_serve_unloadable_journal_fails_job);
+    ("serve: damaged joblog refuses to start", `Slow,
+     test_serve_damaged_joblog_refuses_start);
     ("serve: warm cache across jobs", `Slow,
      test_serve_warm_cache_across_jobs);
     ("serve: setup mismatch refused", `Slow,

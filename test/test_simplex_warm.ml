@@ -490,13 +490,13 @@ let test_arena_under_faults () =
     (fun (label, schedule) ->
       Fun.protect ~finally:Faults.disable (fun () ->
           Faults.configure ~seed:13
-            [ (Faults.Refactor_singular, 3); (Faults.Pivot_corrupt, 150) ];
+            [ ("refactor-singular", 3); ("pivot-corrupt", 150) ];
           let runs = schedule arena_job lps in
           Alcotest.(check (list int))
             (label ^ ": both faults fired") [ 1; 1 ]
             [
-              Faults.fired Faults.Refactor_singular;
-              Faults.fired Faults.Pivot_corrupt;
+              Faults.fired "refactor-singular";
+              Faults.fired "pivot-corrupt";
             ];
           List.iteri
             (fun i (r, d) ->
