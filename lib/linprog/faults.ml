@@ -55,8 +55,7 @@ let configure ?(seed = 0) plan =
         (find name, n))
       plan
   in
-  Atomic.set armed false;
-  List.iter reset (registered ());
+  disable ();
   List.iter (fun (s, n) -> s.target <- n) plan;
   Atomic.set the_seed seed;
   if plan <> [] then Atomic.set armed true

@@ -87,18 +87,17 @@ let decode line =
       | Some e -> Error (Printf.sprintf "unknown event %S" e)
       | None -> Error "line has no \"event\"")
 
-(* Append + fsync: when this returns, the event survives a crash.  The
+(* Append + fsync: when this returns, the text survives a crash.  The
    fd is opened per append — the joblog sees a handful of writes per
    job, nowhere near a hot path. *)
-let append ~path event =
+let write ~path text =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let line = encode event ^ "\n" in
-      let buf = Bytes.of_string line in
+      let buf = Bytes.of_string text in
       let rec put ofs len =
         if len > 0 then begin
           let n = Unix.write fd buf ofs len in
@@ -108,11 +107,23 @@ let append ~path event =
       put 0 (Bytes.length buf);
       Unix.fsync fd)
 
+let append ~path event = write ~path (encode event ^ "\n")
+
 let load ~path =
   if not (Sys.file_exists path) then Ok []
   else
     Dpv_core.Journal.read_lines ~path (fun ~line text ->
         Result.map_error (Printf.sprintf "line %d: %s" line) (decode text))
+
+let seal ~path =
+  if Sys.file_exists path then
+    let content = In_channel.with_open_bin path In_channel.input_all in
+    let len = String.length content in
+    let cut = try String.rindex content '\n' + 1 with Not_found -> 0 in
+    if cut < len then
+      if Result.is_ok (decode (String.sub content cut (len - cut))) then
+        write ~path "\n"
+      else Unix.truncate path cut
 
 let pending events =
   let finished = Hashtbl.create 8 in

@@ -36,9 +36,17 @@ val append : path:string -> event -> unit
 
 val load : path:string -> (event list, string) result
 (** All events, in append order.  A missing file is [Ok []]; an
-    unterminated final line (crash mid-append) is dropped; corruption
-    anywhere else, a newline-terminated final line included, is an
-    [Error] naming the line ({!Dpv_core.Journal.read_lines}). *)
+    unterminated final line that does not decode (a crash mid-append)
+    is dropped; corruption anywhere else, a newline-terminated final
+    line included, is an [Error] naming the line
+    ({!Dpv_core.Journal.read_lines}). *)
+
+val seal : path:string -> unit
+(** Call after {!load} accepts the file, before the first {!append}.
+    {!load} drops a torn tail, but its bytes stay, and the next append
+    would land on their end as a bad line that every later {!load}
+    refuses.  So an unterminated final line is cut when it does not
+    decode, and terminated when it does (only its newline was lost). *)
 
 val pending :
   event list ->

@@ -617,12 +617,14 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
   in
   mkdir_p config.state_dir;
   let joblog_path = Filename.concat config.state_dir "joblog.jsonl" in
-  (* A damaged joblog is refused, not read as empty: new events would
-     append after the damage, and every later restart would drop the
-     jobs it holds again. *)
+  (* A damaged joblog is refused, not read as empty, and a torn tail is
+     sealed: new events appended after either would make every later
+     restart drop or refuse the jobs the joblog holds. *)
   let pending =
     match Joblog.load ~path:joblog_path with
-    | Ok events -> Joblog.pending events
+    | Ok events ->
+        Joblog.seal ~path:joblog_path;
+        Joblog.pending events
     | Error e ->
         failwith (Printf.sprintf "cannot recover from %s: %s" joblog_path e)
   in

@@ -69,15 +69,21 @@ let raises_invalid_arg f =
 
 let test_registry () =
   Faults.disable ();
+  Fun.protect ~finally:Faults.disable @@ fun () ->
   Alcotest.(check (list string))
     "each production site and probe is registered exactly once"
     (List.sort compare ("test-probe" :: "test-probe-other" :: production_sites))
     (List.sort compare (Faults.names ()));
   Alcotest.(check bool) "a taken name is refused" true
     (raises_invalid_arg (fun () -> Faults.site "task-crash"));
+  (* The registered name comes first, so a configure that armed as it
+     went would leave the probe armed. *)
   Alcotest.(check bool) "configure refuses an unregistered name" true
-    (raises_invalid_arg (fun () -> Faults.configure [ ("bogus-site", 1) ]));
-  Alcotest.(check bool) "and arms nothing" false (Faults.enabled ())
+    (raises_invalid_arg (fun () ->
+         Faults.configure [ ("test-probe", 1); ("bogus-site", 1) ]));
+  Alcotest.(check bool) "and arms nothing" false (Faults.enabled ());
+  Alcotest.(check bool) "not even the registered name" false
+    (Faults.fire probe)
 
 let test_parse_spec () =
   (match Faults.parse_spec "seed=7,task-crash=2,deadline-jitter=1" with

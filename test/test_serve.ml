@@ -704,6 +704,58 @@ let test_serve_damaged_joblog_refuses_start () =
   Alcotest.(check string) "the joblog is left byte for byte" before
     (slurp ())
 
+(* A crash mid-append leaves an unterminated final line.  The restart
+   drops it, and must also seal it off in the file: the next append
+   would otherwise land on its end, and the restart after that would
+   refuse the joblog.  A final line that decodes lost only its
+   newline, so its event is kept. *)
+let test_serve_torn_joblog_tail_survives_restarts () =
+  let dir = temp_dir "dpv-serve" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let spec, parsed, prepared = Lazy.force pipeline in
+  let state_dir = Filename.concat dir "state" in
+  Unix.mkdir state_dir 0o755;
+  let path = Filename.concat state_dir "joblog.jsonl" in
+  let restart () =
+    let server =
+      Server.create
+        ~config:(Server.default_config ~state_dir)
+        ~perception:prepared.Workflow.perception
+        ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+    in
+    let listen_fd =
+      Server.listen_unix ~path:(Filename.concat dir "dpv.sock")
+    in
+    Server.request_drain server;
+    Server.serve server listen_fd
+  in
+  let finished job = Joblog.Finished { job; exit_code = 0 } in
+  let jobs () =
+    List.map
+      (function
+        | Joblog.Finished { job; _ } -> job
+        | Joblog.Accepted { job; _ } | Joblog.Client_gone { job } -> job)
+      (ok (Joblog.load ~path))
+  in
+  List.iter
+    (fun (what, tail, want) ->
+      write_file path "";
+      Joblog.append ~path (finished "a");
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc tail;
+      close_out oc;
+      restart ();
+      Joblog.append ~path (finished "c");
+      Alcotest.(check (list string)) (what ^ ": the next append loads") want
+        (jobs ());
+      restart ())
+    [
+      ("torn mid-line", "{\"event\": \"finished\", \"job\": \"b", [ "a"; "c" ]);
+      ( "only the newline lost",
+        "{\"event\": \"finished\", \"job\": \"b\", \"exit_code\": 0}",
+        [ "a"; "b"; "c" ] );
+    ]
+
 let test_serve_warm_cache_across_jobs () =
   with_server @@ fun _server ~sock ~state_dir:_ ->
   let hits () = Metrics.counter_value (Metrics.counter "campaign.cache_hits") in
@@ -1510,6 +1562,8 @@ let tests =
      test_serve_unloadable_journal_fails_job);
     ("serve: damaged joblog refuses to start", `Slow,
      test_serve_damaged_joblog_refuses_start);
+    ("serve: torn joblog tail survives restarts", `Slow,
+     test_serve_torn_joblog_tail_survives_restarts);
     ("serve: warm cache across jobs", `Slow,
      test_serve_warm_cache_across_jobs);
     ("serve: setup mismatch refused", `Slow,
