@@ -550,6 +550,10 @@ let serve_cmd =
         Format.printf "recovered %d journaled job(s) from %s@."
           (Server.recovered server)
           state_dir;
+      List.iter
+        (fun (job, reason) ->
+          Format.printf "failed journaled job %s (exit 4): %s@." job reason)
+        (Server.recovery_failures server);
       (* SIGTERM/SIGINT request a graceful drain: stop accepting, finish
          or journal in-flight work, then fall through to with_obs's
          trace/metrics flush. *)

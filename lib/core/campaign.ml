@@ -13,7 +13,6 @@ let m_crashed = Metrics.counter "campaign.crashed"
 let m_skipped = Metrics.counter "campaign.skipped"
 let m_retried = Metrics.counter "campaign.retried"
 let m_resumed = Metrics.counter "campaign.resumed"
-let m_journal_failures = Metrics.counter "journal.write_failures"
 
 type query = {
   label : string;
@@ -143,7 +142,7 @@ let task_crash = Faults.site "task-crash"
 
 let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
     ?budget_s ?journal ?resume ?(absint = false) ?bisect ?cache ?on_settled
-    ?(trace = "") ~perception queries =
+    ?(after_settle = ignore) ?(trace = "") ~perception queries =
   if runners < 1 then invalid_arg "Campaign.run: runners must be >= 1";
   (match shard with
   | Some (i, n) when n < 1 || i < 0 || i >= n ->
@@ -196,43 +195,39 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
   (* Seed the journal writer with the replayed entries (in input order)
      so the file on disk always describes the whole campaign. *)
   let seed = List.filter_map Fun.id (Array.to_list replayed) in
+  (* A failed write is counted, not fatal: the writer keeps every
+     entry and its next group rewrites the complete journal.  A
+     campaign must not die on a full disk when it still has verdicts to
+     produce. *)
   let writer = Option.map (fun path -> Journal.create ~path seed) journal in
-  let journal_write_failures = Atomic.make 0 in
-  (* A failed write is counted, not fatal: the writer keeps the entry in
-     memory and its next successful append rewrites the complete
-     journal.  A campaign must not die on a full disk when it still has
-     verdicts to produce. *)
-  let journal_write f =
-    Option.iter
-      (fun w ->
-        try f w
-        with Sys_error _ ->
-          Atomic.incr journal_write_failures;
-          Metrics.incr m_journal_failures 1)
-      writer
-  in
+  Fun.protect ~finally:(fun () -> Option.iter Journal.close writer)
+  @@ fun () ->
   let reports : query_report option array = Array.make n None in
   (* Every query settles here exactly once: replayed from the resume
-     journal, or journaled by the task that finished it (a campaign
-     killed right after still has the verdict on disk), then handed to
-     [on_settled] and slotted into the report. *)
+     journal, or filed with the journal by the task that finished it,
+     which then goes on to its next unit.  [on_settled] runs once the
+     entry is durable (a campaign killed after it still has the verdict
+     on disk): on the journal's syncer, in settle order. *)
   let settle ?(from_cache = false) ?(from_journal = false) ?(attempts = 1)
       ?(dense_retry = false) ?(deadline_retry = false) i outcome =
     let key, q = keyed.(i) in
-    if not from_journal then
-      journal_write (fun w ->
-          Journal.append w
-            { Journal.key; label = q.label; outcome; attempts; dense_retry;
-              deadline_retry });
     let qr =
       { query = q; outcome; from_cache; from_journal; attempts; dense_retry;
         deadline_retry }
     in
+    reports.(i) <- Some qr;
     (* The settle hook is observability, not control flow: a raising
        subscriber (a vanished network client, say) must never take the
        solve down with it. *)
-    Option.iter (fun f -> try f qr with _ -> ()) on_settled;
-    reports.(i) <- Some qr
+    let notify () = Option.iter (fun f -> try f qr with _ -> ()) on_settled in
+    (match writer with
+    | Some w when not from_journal ->
+        Journal.file w
+          ~on_sync:(fun _ -> notify ())
+          { Journal.key; label = q.label; outcome; attempts; dense_retry;
+            deadline_retry }
+    | _ -> notify ());
+    after_settle ()
   in
   Array.iteri
     (fun i ->
@@ -494,22 +489,27 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
   Metrics.incr m_retried retried;
   Metrics.incr m_resumed resumed;
   let total_wall_s = Clock.now_s () -. started in
-  (* The delta is taken *before* the meta append below, so a shard's
+  (* The delta is taken *before* the meta is filed below, so a shard's
      recorded snapshot excludes the bookkeeping of writing it — which
      is what lets [merged_to_json] sum shard snapshots into exact
-     campaign totals. *)
+     campaign totals.  It is also taken before the last group commit:
+     that group's latencies and any failure of it reach the process
+     registry, not this snapshot. *)
   let metrics = Metrics.since ~before:metrics_before (Metrics.snapshot ()) in
   (* Shard trailers are mandatory for merge; unsharded journals only
      grow one when there is a trace id worth correlating (served jobs),
-     so plain batch journals stay one-line-per-query. *)
+     so plain batch journals stay one-line-per-query.  Filed right
+     after the last entry, the trailer rides the same group commit. *)
   (match shard with
   | Some (i, shards) -> Some (i, shards)
   | None -> if trace <> "" then Some (0, 1) else None)
   |> Option.iter (fun (i, shards) ->
-         journal_write (fun w ->
-             Journal.append_meta w
+         Option.iter
+           (fun w ->
+             Journal.file_meta w
                { Journal.shard = i; shard_count = shards; runners;
-                 total_wall_s; trace; metrics }));
+                 total_wall_s; trace; metrics })
+           writer);
   Option.iter Journal.close writer;
   {
     query_reports;
@@ -526,7 +526,7 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
     skipped;
     retried;
     resumed;
-    journal_write_failures = Atomic.get journal_write_failures;
+    journal_write_failures = Option.fold ~none:0 ~some:Journal.write_failures writer;
     metrics;
   }
 

@@ -29,8 +29,11 @@
       [degraded]; the CLI maps that to its own exit code.
 
     {b Journaling and resume.}  With [?journal], every settled query is
-    appended to a {!Journal} file atomically, so a campaign killed at
-    query k of N can be resumed: pass the loaded entries as [?resume]
+    filed with a {!Journal} writer, whose syncer makes it durable with
+    the next group commit: the task that settled it goes on to its next
+    unit without waiting, so a verdict is durable within one group, not
+    before the next query starts.  A campaign killed after k durable
+    verdicts of N can be resumed: pass the loaded entries as [?resume]
     and the k settled [Done] verdicts are replayed (bit-identical,
     marked [from_journal]) while only the remaining N-k queries are
     solved.  [Crashed]/[Skipped] journal entries are retried on resume,
@@ -135,16 +138,20 @@ type report = {
   retried : int;   (** queries that needed more than one attempt *)
   resumed : int;   (** queries replayed from the resume journal *)
   journal_write_failures : int;
-      (** journal appends that raised; the campaign carries on (a later
-          successful append rewrites the full journal) *)
+      (** journal group writes that failed, each counted once; the
+          campaign carries on (the next group, or the journal's close,
+          rewrites the full journal) *)
   metrics : Dpv_obs.Metrics.snapshot;
       (** the campaign's delta against the global metrics registry
           ({!Dpv_obs.Metrics.since} over the run): counter and histogram
           totals attribute to this campaign exactly — e.g.
           [simplex.pivots] equals the sum of [pivots] over the
           non-replayed query stats — while gauges carry end-of-run
-          high-water values.  Embedded in {!to_json} as the
-          ["metrics"] object ([dpv-metrics/1]). *)
+          high-water values.  Taken before the journal's last group
+          commit, so that group's [journal.append_ns] and
+          [journal.sync_ns] observations (and a failure of it) reach
+          the process registry but not this snapshot.  Embedded in
+          {!to_json} as the ["metrics"] object ([dpv-metrics/1]). *)
 }
 
 val run :
@@ -158,6 +165,7 @@ val run :
   ?bisect:Verify.bisect_options ->
   ?cache:cache ->
   ?on_settled:(query_report -> unit) ->
+  ?after_settle:(unit -> unit) ->
   ?trace:string ->
   perception:Dpv_nn.Network.t ->
   query list ->
@@ -174,18 +182,27 @@ val run :
     runner pool: without [bisect] one unit over the query's whole
     shared prefix, with it one unit per surviving sub-box.  A query
     settles in the task that finishes its last unit, which folds the
-    unit outcomes in plan order, journals the query and hands it to
-    [on_settled].  Queries left with no unit settle before the pool
-    starts: an encoding failure as [Crashed], a plan whose every
-    sub-box propagation discharged as [Done].
+    unit outcomes in plan order and files the query with the journal.
+    Queries left with no unit settle before the pool starts: an
+    encoding failure as [Crashed], a plan whose every sub-box
+    propagation discharged as [Done].
 
-    [on_settled] is invoked once per query as its outcome settles
-    (solved, crashed, skipped, or replayed from the resume journal) —
-    the hook behind streamed serve verdicts.  It is called from worker
-    domains for solved queries, so it must be thread-safe; exceptions
-    it raises are swallowed (observability must not kill the solve).
-    Order is settle order, not input order — the report still lists
-    queries in input order.
+    [on_settled] is invoked once per query (solved, crashed, skipped,
+    or replayed from the resume journal) — the hook behind streamed
+    serve verdicts.  With a journal, a settled query's call comes once
+    its line is durable, from the journal's syncer thread, in settle
+    order; even when the line's group write failed (the failure is
+    counted in [journal_write_failures]).  Replayed queries, and every
+    query without a journal, are handed over at once by the settling
+    task.  It must be thread-safe; exceptions it raises are swallowed
+    (observability must not kill the solve).  Order is settle order,
+    not input order — the report still lists queries in input order.
+    [run] returns only after every call.
+
+    [after_settle] (default: nothing) runs in the settling task right
+    after each query settles and is filed, before the task takes its
+    next unit.  The serve daemon's [settle_delay_s] pauses here, which
+    paces its kill-and-restart tests.
 
     [absint] (default false) arms the DeepPoly branch-and-bound guide
     on every solve (see {!Verify.run_query}).  [bisect] (default off)
@@ -221,8 +238,8 @@ val run :
     after expiry are skipped: a query none of whose units ran is
     [Skipped] with [attempts = 0].
 
-    [journal] appends every settled query to the given path (see
-    {!Journal}); [resume] replays [Done] entries previously loaded with
+    [journal] files every settled query with a writer on the given
+    path (see {!Journal}) and closes it before [run] returns; [resume] replays [Done] entries previously loaded with
     {!Journal.load}.  When both are given the journal is seeded with
     the replayed entries, so the file always describes the whole
     campaign.  [milp_options] applies to every query (default

@@ -112,48 +112,81 @@ module Trace = Dpv_obs.Trace
 
 let m_appends = Metrics.counter "journal.appends"
 let m_rewrites = Metrics.counter "journal.rewrites"
+let m_write_failures = Metrics.counter "journal.write_failures"
 let append_hist = Metrics.histogram "journal.append_ns"
+let sync_hist = Metrics.histogram "journal.sync_ns"
+
+(* A filed record, waiting for its group commit. *)
+type record = {
+  line : unit -> string;  (* encoded by the syncer, off the settling task *)
+  filed_ns : int;
+  on_sync : (unit, exn) result -> unit;
+}
+
+(* Where the next group goes.  Owned by the syncer while it runs. *)
+type target =
+  | Fresh  (* no file yet: the first group creates it by open + append *)
+  | Rewrite
+      (* the whole file must be rewritten: the writer was seeded (the
+         target may hold stale or resumed-from content), or a group
+         write failed *)
+  | Open of out_channel  (* the append channel of a complete file *)
 
 type writer = {
   path : string;
   lock : Mutex.t;
-  mutable entries_rev : entry list;
+  filed : Condition.t;  (* the syncer waits here for records or [close] *)
+  synced : Condition.t;  (* [append] and [close] wait here for groups *)
+  mutable entries_rev : entry list;  (* every entry, for a rewrite *)
   mutable meta : meta option;
       (* shard trailer, retained so a recovery rewrite reproduces it *)
-  mutable oc : out_channel option;
-      (* open append channel while the fast path is live *)
-  mutable pending_rewrite : bool;
-      (* the next append must rewrite the whole file: set at creation
-         (the target may hold stale or resumed-from content) and after
-         any failed write *)
+  mutable queue_rev : record list;  (* filed, not yet taken by the syncer *)
+  mutable filed_count : int;
+  mutable synced_count : int;
+  mutable closing : bool;
+  mutable target : target;
+  mutable failures : int;
+  mutable syncer : Thread.t option;
 }
-
-let create ~path existing =
-  {
-    path;
-    lock = Mutex.create ();
-    entries_rev = List.rev existing;
-    meta = None;
-    oc = None;
-    pending_rewrite = true;
-  }
-
-let close_channel w =
-  match w.oc with
-  | None -> ()
-  | Some oc ->
-      w.oc <- None;
-      (try close_out oc with Sys_error _ -> ())
 
 let fsync_channel oc =
   flush oc;
   try Unix.fsync (Unix.descr_of_out_channel oc)
   with Unix.Unix_error _ -> ()
 
-(* journal-crash: a journal write fails with [Sys_error]. *)
+let fsync_dir path =
+  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
+let close_channel w =
+  match w.target with
+  | Open oc ->
+      w.target <- Rewrite;
+      close_out_noerr oc
+  | Fresh | Rewrite -> ()
+
+(* journal-crash: a journal write fails with [Sys_error].  It fires
+   once per group write (every record of the group fails together),
+   and on the rewrite path just before the rename. *)
 let journal_crash = Faults.site "journal-crash"
 
-(* Whole-file write to a sibling tmp, then an atomic rename: readers
+let injected_failure () =
+  if Faults.fire journal_crash then
+    raise (Sys_error "injected journal write failure")
+
+let output_lines oc lines =
+  List.iter
+    (fun line ->
+      output_string oc line;
+      output_char oc '\n')
+    lines
+
+(* Whole-file write to a sibling tmp, then an atomic rename and an
+   fsync of the directory, so the rename itself is durable: readers
    (and a resumed campaign) never see a torn line.  [before_rename]
    runs in the window where a real crash leaves [path] at its previous
    complete state. *)
@@ -161,10 +194,7 @@ let write_file ~path ~before_rename entries meta =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   (try
-     List.iter
-       (fun line ->
-         output_string oc line;
-         output_char oc '\n')
+     output_lines oc
        (List.map entry_to_line entries
        @ Option.to_list (Option.map meta_to_line meta));
      fsync_channel oc;
@@ -173,73 +203,176 @@ let write_file ~path ~before_rename entries meta =
      close_out_noerr oc;
      raise e);
   before_rename ();
-  Sys.rename tmp path
+  Sys.rename tmp path;
+  fsync_dir path
 
-(* The writer's whole-file path: the first write (which doubles as
-   resume compaction — the seeded entries reach disk in one pass) and
-   the recovery after a failed append; steady-state appends take the
-   O(1) fast path below.  Called with the writer lock held. *)
-let rewrite w =
+(* The whole-file path of a seeded writer (which doubles as resume
+   compaction: the seeded entries reach disk in one pass) and the
+   recovery after a failed group.  Leaves the append channel open. *)
+let rewrite w (entries, meta) =
   close_channel w;
-  write_file ~path:w.path (List.rev w.entries_rev) w.meta
-    ~before_rename:(fun () ->
-      if Faults.fire journal_crash then
-        raise (Sys_error "injected journal write failure"));
+  write_file ~path:w.path entries meta ~before_rename:injected_failure;
   Metrics.incr m_rewrites 1;
-  w.pending_rewrite <- false;
-  w.oc <- Some (open_out_gen [ Open_wronly; Open_append ] 0o644 w.path)
+  w.target <- Open (open_out_gen [ Open_wronly; Open_append ] 0o644 w.path)
 
-(* Persist the record just filed into [w]: the O(1) steady-state
-   append (one line, flushed and fsynced) when the file is in a
-   known-good state, the atomic rewrite otherwise.  The fault fires
-   before anything reaches the channel, so — like a real failure caught
-   below — the on-disk journal keeps its previous complete state.
-   [line] is encoded only on the fast path.  Called with the writer
-   lock held, after the record is filed: if the write fails, the next
-   successful append rewrites everything and nothing recorded is
-   lost. *)
-let persist w line =
+let count_failure w =
+  Mutex.protect w.lock (fun () -> w.failures <- w.failures + 1);
+  Metrics.incr m_write_failures 1
+
+(* One group commit: every record the syncer took, written and made
+   durable by one fsync.  [whole] is the writer's full content, taken
+   with the group, for the rewrite path.  A failure drops the append
+   channel (it may hold a partial line) and sends the next group
+   through the rewrite, so every retained record still reaches disk. *)
+let write_group w group whole =
   let t0 = Dpv_obs.Mclock.now_ns () in
   let trace_t0 = Trace.begin_ns () in
-  let append_line () =
-    if Faults.fire journal_crash then
-      raise (Sys_error "injected journal write failure");
-    match w.oc with
-    | None -> rewrite w
-    | Some oc ->
-        output_string oc (line ());
-        output_char oc '\n';
-        fsync_channel oc
+  let append oc =
+    output_lines oc (List.map (fun r -> r.line ()) group);
+    fsync_channel oc
   in
-  match if w.pending_rewrite then rewrite w else append_line () with
+  let args = [ ("records", string_of_int (List.length group)) ] in
+  match
+    match w.target with
+    | Rewrite -> rewrite w (Lazy.force whole)
+    | Open oc ->
+        injected_failure ();
+        append oc
+    | Fresh ->
+        injected_failure ();
+        let oc =
+          open_out_gen
+            [ Open_wronly; Open_creat; Open_trunc; Open_append ]
+            0o644 w.path
+        in
+        w.target <- Open oc;
+        append oc;
+        fsync_dir w.path
+  with
   | () ->
-      Metrics.incr m_appends 1;
-      Metrics.observe append_hist (Dpv_obs.Mclock.now_ns () - t0);
-      Trace.complete ~name:"journal.append" trace_t0
+      let now = Dpv_obs.Mclock.now_ns () in
+      Metrics.observe sync_hist (now - t0);
+      List.iter (fun r -> Metrics.observe append_hist (now - r.filed_ns)) group;
+      Trace.complete ~args ~name:"journal.sync" trace_t0;
+      Ok ()
   | exception ex ->
-      (* The append channel may hold a partial line; drop it and force
-         the next append through the atomic rewrite so every retained
-         record still reaches disk. *)
       close_channel w;
-      w.pending_rewrite <- true;
+      w.target <- Rewrite;
+      count_failure w;
       Trace.complete
-        ~args:[ ("exn", Printexc.to_string ex) ]
-        ~name:"journal.append" trace_t0;
-      raise ex
+        ~args:(("exn", Printexc.to_string ex) :: args)
+        ~name:"journal.sync" trace_t0;
+      Error ex
 
-let append w e =
+(* The syncer: take whatever is filed, commit it as one group, then
+   run the group's callbacks in filing order.  Exits once [close] asks
+   and nothing is left. *)
+let rec sync_loop w =
+  let group, whole =
+    Mutex.protect w.lock (fun () ->
+        while w.queue_rev = [] && not w.closing do
+          Condition.wait w.filed w.lock
+        done;
+        let group = List.rev w.queue_rev in
+        w.queue_rev <- [];
+        let entries = w.entries_rev and meta = w.meta in
+        (group, lazy (List.rev entries, meta)))
+  in
+  if group <> [] then begin
+    let result = write_group w group whole in
+    List.iter (fun r -> try r.on_sync result with _ -> ()) group;
+    Mutex.protect w.lock (fun () ->
+        w.synced_count <- w.synced_count + List.length group;
+        Condition.broadcast w.synced);
+    sync_loop w
+  end
+
+let create ~path existing =
+  let w =
+    {
+      path;
+      lock = Mutex.create ();
+      filed = Condition.create ();
+      synced = Condition.create ();
+      entries_rev = List.rev existing;
+      meta = None;
+      queue_rev = [];
+      filed_count = 0;
+      synced_count = 0;
+      closing = false;
+      target = (if existing = [] then Fresh else Rewrite);
+      failures = 0;
+      syncer = None;
+    }
+  in
+  w.syncer <- Some (Thread.create sync_loop w);
+  w
+
+(* Queue one record; called with the writer lock held.  Returns its
+   position in filing order. *)
+let enqueue w ~on_sync line =
+  if w.closing then invalid_arg "Journal: the writer is closed";
+  Metrics.incr m_appends 1;
+  w.queue_rev <-
+    { line; filed_ns = Dpv_obs.Mclock.now_ns (); on_sync } :: w.queue_rev;
+  w.filed_count <- w.filed_count + 1;
+  Condition.signal w.filed;
+  w.filed_count
+
+let file_entry w ~on_sync e =
   Mutex.protect w.lock (fun () ->
+      let seq = enqueue w ~on_sync (fun () -> entry_to_line e) in
       w.entries_rev <- e :: w.entries_rev;
-      persist w (fun () -> entry_to_line e))
+      seq)
 
-(* The shard trailer is retained so a recovery rewrite reproduces it
-   after the entries.  Campaigns call this once, right before close. *)
-let append_meta w m =
+let file_meta_record w ~on_sync m =
   Mutex.protect w.lock (fun () ->
+      let seq = enqueue w ~on_sync (fun () -> meta_to_line m) in
       w.meta <- Some m;
-      persist w (fun () -> meta_to_line m))
+      seq)
 
-let close w = Mutex.protect w.lock (fun () -> close_channel w)
+let file w ?(on_sync = ignore) e = ignore (file_entry w ~on_sync e)
+let file_meta w m = ignore (file_meta_record w ~on_sync:ignore m)
+
+let await_synced w seq =
+  Mutex.protect w.lock (fun () ->
+      while w.synced_count < seq do
+        Condition.wait w.synced w.lock
+      done)
+
+(* File and wait: the old synchronous contract on the one writer path. *)
+let file_and_wait file_record w x =
+  let result = ref (Ok ()) in
+  await_synced w (file_record w ~on_sync:(fun r -> result := r) x);
+  match !result with Ok () -> () | Error ex -> raise ex
+
+let append w e = file_and_wait file_entry w e
+let append_meta w m = file_and_wait file_meta_record w m
+
+(* Waits for the last group, joins the syncer, and retries a rewrite
+   the last group left pending.  A failed retry is counted like any
+   failed group. *)
+let close w =
+  let syncer =
+    Mutex.protect w.lock (fun () ->
+        w.closing <- true;
+        Condition.signal w.filed;
+        let th = w.syncer in
+        w.syncer <- None;
+        th)
+  in
+  Option.iter
+    (fun th ->
+      Thread.join th;
+      (match w.target with
+      | Rewrite when w.filed_count > 0 -> (
+          try rewrite w (List.rev w.entries_rev, w.meta)
+          with _ -> count_failure w)
+      | Fresh | Rewrite | Open _ -> ());
+      close_channel w)
+    syncer
+
+let write_failures w = Mutex.protect w.lock (fun () -> w.failures)
 
 (* One-shot atomic write of a complete journal (tmp + rename) — how
    [dpv merge-journals] materializes the merged entry list so the

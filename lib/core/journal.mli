@@ -6,19 +6,36 @@
     content digest of the query itself, and [dpv campaign --resume]
     replays [Done] entries instead of re-solving them.
 
-    Durability model: the first write (and any write after a failure)
-    rewrites the whole journal to a temporary file in the same
-    directory, fsyncs it and [Sys.rename]s it over the target — the
-    atomic path that also compacts a resumed campaign's replayed
-    entries.  Steady-state appends then take an O(1) fast path: one
-    line written to an open append channel, flushed and fsynced.  A
-    crash mid-append can tear at most the final, unterminated line,
+    Durability model: group commit.  A settling task {e files} its
+    record ({!file}) and goes on; it does not wait for the disk.  Each
+    writer has one syncer thread, which takes every record filed so
+    far, writes them and makes them durable with one fsync (a group),
+    then runs the records' [on_sync] callbacks in filing order.  So a
+    callback runs only once its line is durable, and {!close} returns
+    only once every filed line is.
+
+    - A fresh writer (no seeded entries) creates its file with its
+      first group: open, append, fsync the file, then fsync the
+      directory so the new name is durable too.
+    - A seeded writer (the replayed entries of a resumed campaign)
+      rewrites the whole journal with its first group: a temporary
+      file in the same directory, fsync, [Sys.rename] over the target,
+      fsync of the directory.  That also compacts the journal.
+    - A failed group write is counted once ({!write_failures} and the
+      [journal.write_failures] counter), its callbacks still run (with
+      [Error]), and the next group rewrites the whole file, so no
+      filed record is lost.  {!close} retries a rewrite the last group
+      left pending.
+
+    A crash mid-group can tear at most the final, unterminated line,
     which {!load} drops; corruption anywhere else is still a hard
     parse error.
 
-    Writes are serialized with a mutex: campaign runners settle queries
-    concurrently.  Append latency lands in the [journal.append_ns]
-    histogram of {!Dpv_obs.Metrics}. *)
+    Metrics: [journal.appends] counts records at filing,
+    [journal.append_ns] observes each record from filing to durable,
+    [journal.sync_ns] each group commit, and [journal.rewrites] each
+    whole-file rewrite.  The syncer records one [journal.sync] span per
+    group. *)
 
 type outcome =
   | Done of Verify.result
@@ -64,26 +81,39 @@ type writer
 val create : path:string -> entry list -> writer
 (** [create ~path existing] opens a journal writer on [path], seeded
     with [existing] entries (the replayed portion of a resumed
-    campaign) so the file on disk always describes the whole campaign.
-    Writes nothing until the first {!append}. *)
+    campaign) so the file on disk always describes the whole campaign,
+    and starts its syncer thread.  Writes nothing until the first
+    record is filed.  Every writer must be {!close}d. *)
+
+val file : writer -> ?on_sync:((unit, exn) result -> unit) -> entry -> unit
+(** Queue one settled query for the next group commit and return at
+    once.  [on_sync] runs on the syncer, in filing order, once the
+    group holding the line is durable ([Ok ()]) or its write failed
+    ([Error e]); exceptions it raises are ignored.  Raises
+    [Invalid_argument] after {!close}. *)
+
+val file_meta : writer -> meta -> unit
+(** Queue the shard trailer like {!file}; a rewrite reproduces it
+    after the entries.  Meant to be filed once, after the last
+    entry. *)
 
 val append : writer -> entry -> unit
-(** Record one settled query and persist it durably (fast append when
-    the file is in a known-good state, atomic whole-file rewrite
-    otherwise).  Raises [Sys_error] if the filesystem write fails (or
-    under the [Journal_crash] fault-injection site); the in-memory
-    entry list is updated first and the writer falls back to the
-    rewrite path, so a later append re-persists everything. *)
+(** {!file} and wait: returns once the line is durable.  Raises
+    [Sys_error] if its group write failed (or under the
+    [journal-crash] fault-injection site); the entry stays filed, so
+    the next group rewrites the whole journal with it. *)
 
 val append_meta : writer -> meta -> unit
-(** Record the shard trailer (same durability contract as {!append});
-    a recovery rewrite reproduces it after the entries.  Meant to be
-    called once, at the end of a sharded campaign. *)
+(** {!file_meta} and wait, with {!append}'s contract. *)
 
 val close : writer -> unit
-(** Close the fast-path append channel, if open.  Further appends
-    reopen it through the rewrite path; calling close is optional but
-    polite at campaign end. *)
+(** Wait for the last group, join the syncer, retry a rewrite that a
+    failed last group left pending, and close the file.  No syncer
+    outlives it.  Closing twice does nothing more. *)
+
+val write_failures : writer -> int
+(** Group writes that failed so far, each counted once however many
+    records it held. *)
 
 val load : path:string -> (entry list, string) result
 (** Parse a journal written by {!append}.  A final line without a
@@ -113,8 +143,13 @@ val load_with_meta :
 
 val save : path:string -> entry list -> unit
 (** Write a complete journal in one atomic pass (sibling tmp file,
-    fsync, rename) — no writer state, no fast path.  Used to
-    materialize merged journals. *)
+    fsync, rename, fsync of the directory) — no writer state, no group
+    commit.  Used to materialize merged journals. *)
+
+val fsync_dir : string -> unit
+(** [fsync_dir path] fsyncs the directory holding [path], so a file
+    just created or renamed there keeps its name across a power cut.
+    Errors are ignored (some filesystems refuse a directory fsync). *)
 
 val result_of_entry : entry -> Verify.result option
 (** The replayable result: [Some] exactly for [Done] entries. *)

@@ -238,14 +238,18 @@ let buf_string b s =
 (* The one number printer.  Integral values print as integers, through
    [string_of_int] rather than a format call (every counter of every
    journal line takes this path), and [-0.0] as [-0] so the sign
-   survives; anything else prints with 17 significant digits, which
-   round-trips every finite double bit for bit. *)
+   survives; other finite values print with 17 significant digits,
+   which round-trips every finite double bit for bit.  JSON has no
+   literal for NaN or an infinity, so those print as the strings
+   [to_float] reads back. *)
 let buf_number b f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string b
       (if f = 0.0 && Float.sign_bit f then "-0"
        else string_of_int (int_of_float f))
-  else Printf.bprintf b "%.17g" f
+  else if Float.is_finite f then Printf.bprintf b "%.17g" f
+  else if Float.is_nan f then Buffer.add_string b {|"NaN"|}
+  else Buffer.add_string b (if f > 0.0 then {|"Infinity"|} else {|"-Infinity"|})
 
 (* [depth] is the nesting level of the container; containers above
    level [indent] put each member on its own line, deeper ones stay on
@@ -297,6 +301,9 @@ let to_bool = function
 
 let to_float = function
   | Num f -> Some f
+  | Str "NaN" -> Some Float.nan
+  | Str "Infinity" -> Some Float.infinity
+  | Str "-Infinity" -> Some Float.neg_infinity
   | _ -> None
 
 let to_int = function

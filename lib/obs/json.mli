@@ -32,9 +32,13 @@ val encode : ?indent:int -> t -> string
 (** The JSON text of [v].  Strings keep every byte except the quote,
     the backslash and control characters, which take JSON escapes, so
     UTF-8 text passes through unchanged.  Integral numbers below
-    [1e15] in magnitude print as integers ([-0.0] as [-0]), any other
-    with 17 significant digits: [of_string (encode v)] returns [v] with
-    every finite number bit for bit.
+    [1e15] in magnitude print as integers ([-0.0] as [-0]), other
+    finite ones with 17 significant digits: [of_string (encode v)]
+    returns [v] with every finite number bit for bit.  NaN and the
+    infinities, which JSON cannot write as numbers, print as the
+    strings ["NaN"], ["Infinity"] and ["-Infinity"]; they come back as
+    those [Str] values, which {!to_float} reads as the doubles (a NaN
+    as [Float.nan]).
 
     [indent] (default 0, one line) lays out the outermost [indent]
     levels of containers one member per line, each level indented by
@@ -49,6 +53,9 @@ val member : string -> t -> t option
 
 val to_bool : t -> bool option
 val to_float : t -> float option
+(** A [Num], or one of the strings ["NaN"], ["Infinity"] and
+    ["-Infinity"] that {!encode} writes for the non-finite doubles. *)
+
 val to_int : t -> int option
 (** [to_int] accepts only numbers with no fractional part. *)
 

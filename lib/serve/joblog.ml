@@ -1,11 +1,18 @@
 module Json = Dpv_obs.Json
 
-(* The server's own journal: one JSON line per lifecycle event,
-   appended and fsynced BEFORE the event's consequences can happen.
+(* The server's own journal: one JSON line per lifecycle event.
    Recovery is a pure fold over the lines — accepted jobs with no
    finished record are re-run from their persisted spec.  Lines are
    read by {!Dpv_core.Journal.read_lines}, so a torn tail (a crash
-   mid-append) is dropped under the campaign journal's rule. *)
+   mid-append) is dropped under the campaign journal's rule.
+
+   Only [accepted] is fsynced, before the [accepted] frame can go out:
+   it is the no-lost-jobs promise.  [finished] and [client_gone] guard
+   no promise — a lost [finished] only re-runs a job that then replays
+   wholly from its own journal — so they are written without an fsync
+   of their own, and the next [accepted] fsync (or the drain's) makes
+   them durable.  Every served job writes here, so each fsync is paid
+   once per job. *)
 
 type event =
   | Accepted of {
@@ -87,10 +94,11 @@ let decode line =
       | Some e -> Error (Printf.sprintf "unknown event %S" e)
       | None -> Error "line has no \"event\"")
 
-(* Append + fsync: when this returns, the text survives a crash.  The
-   fd is opened per append — the joblog sees a handful of writes per
-   job, nowhere near a hot path. *)
-let write ~path text =
+(* Append, and with [sync] fsync: then the text survives a crash.
+   The call that creates the file also fsyncs the directory, so the
+   joblog's name survives one too. *)
+let write ~path ~sync text =
+  let created = not (Sys.file_exists path) in
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   in
@@ -105,9 +113,20 @@ let write ~path text =
         end
       in
       put 0 (Bytes.length buf);
-      Unix.fsync fd)
+      if sync then Unix.fsync fd);
+  if created then Dpv_core.Journal.fsync_dir path
 
-let append ~path event = write ~path (encode event ^ "\n")
+let append ~path event =
+  let sync =
+    match event with Accepted _ -> true | Finished _ | Client_gone _ -> false
+  in
+  write ~path ~sync (encode event ^ "\n")
+
+let sync ~path =
+  if Sys.file_exists path then begin
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+  end
 
 let load ~path =
   if not (Sys.file_exists path) then Ok []
@@ -122,7 +141,7 @@ let seal ~path =
     let cut = try String.rindex content '\n' + 1 with Not_found -> 0 in
     if cut < len then
       if Result.is_ok (decode (String.sub content cut (len - cut))) then
-        write ~path "\n"
+        write ~path ~sync:true "\n"
       else Unix.truncate path cut
 
 let pending events =

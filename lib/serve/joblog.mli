@@ -1,10 +1,14 @@
 (** The serve daemon's crash-recovery journal.
 
-    One JSON line per job lifecycle event, appended and fsynced
-    {e before} the event's consequences can be observed: a job is
-    [accepted] on disk (spec included, verbatim) before any executor
-    can start it, so SIGKILL at any instant leaves either no trace of
-    a job or enough to re-run it.  Restart recovery is
+    One JSON line per job lifecycle event, appended {e before} the
+    event's consequences can be observed.  A job is [accepted] on disk
+    (spec included, verbatim, and fsynced) before any executor can
+    start it, so SIGKILL or a power cut at any instant leaves either no
+    trace of a job or enough to re-run it.  [finished] and
+    [client_gone] are written without an fsync: a lost [finished] only
+    re-runs a job whose verdicts all replay from its own journal.  The
+    next [accepted] fsync, or {!sync} at drain, makes them durable.
+    Restart recovery is
     {!load} + {!pending}: accepted events with no finished record are
     re-submitted from their persisted specs, and each job's own
     campaign journal then replays whatever queries already settled —
@@ -29,10 +33,16 @@ type event =
       (** the submitter vanished mid-stream; the job ran on *)
 
 val append : path:string -> event -> unit
-(** Append one event and [fsync].  Raises [Sys_error]/[Unix_error] on
-    I/O failure — the server treats an unjournalable job as
-    unacceptable (the client gets an error, not a silent
-    non-guarantee). *)
+(** Append one event, and [fsync] it when it is [Accepted].  The
+    append that creates the file also fsyncs its directory.  Raises
+    [Sys_error]/[Unix_error] on I/O failure — the server treats an
+    unjournalable job as unacceptable (the client gets an error, not a
+    silent non-guarantee). *)
+
+val sync : path:string -> unit
+(** [fsync] the joblog, if it exists: what the drain does once, so the
+    events {!append} wrote without an fsync are durable at a clean
+    exit.  Raises [Unix_error] on I/O failure. *)
 
 val load : path:string -> (event list, string) result
 (** All events, in append order.  A missing file is [Ok []]; an

@@ -110,7 +110,8 @@ type t = {
   jobs_running : int Atomic.t;
   draining : bool Atomic.t;
   before_execute : (string -> unit) option;
-  recovered : int;
+  mutable recovered : int;
+  mutable recovery_failures : (string * string) list;
   mutable executor : Thread.t option;
   (* [since]-cursor store for cheap delta polls: each metrics reply
      names its snapshot with a fresh cursor; a later poll carrying that
@@ -288,10 +289,18 @@ let execute t job =
   (* Queue wait spends the client's deadline; the budget is carved from
      what remains at the moment execution starts. *)
   let budget_s = Clock.carve job.deadline job.budget_s in
+  (* Called from the journal's syncer once the verdict's line is
+     durable: a [verdict] frame never promises more than the disk
+     holds. *)
   let on_settled qr =
-    (match job.reply with
+    match job.reply with
     | Some r -> send t ~job_id:job.id r (Protocol.verdict_line qr)
-    | None -> ());
+    | None -> ()
+  in
+  (* The test pacing pauses the settling runner, not the syncer, so
+     each verdict reaches the disk (and the client) before the next
+     query settles. *)
+  let after_settle () =
     if t.config.settle_delay_s > 0.0 then Unix.sleepf t.config.settle_delay_s
   in
   let finish () =
@@ -315,7 +324,7 @@ let execute t job =
                  (Printf.sprintf "cannot resume from %s: %s" journal_path e))
     in
     Campaign.run ~milp_options:job.milp_options ~runners:job.runners ?budget_s
-      ~journal:journal_path ?resume ~cache:t.cache ~on_settled
+      ~journal:journal_path ?resume ~cache:t.cache ~on_settled ~after_settle
       ~trace:job.trace ~perception:t.perception job.queries
   with
   | report ->
@@ -646,7 +655,8 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
       jobs_running = Atomic.make 0;
       draining = Atomic.make false;
       before_execute;
-      recovered = List.length pending;
+      recovered = 0;
+      recovery_failures = [];
       executor = None;
       cursor_lock = Mutex.create ();
       cursors = [];
@@ -657,11 +667,18 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
   (* Restart recovery: every accepted-but-unfinished job re-enters the
      queue from its persisted spec, headless, before any client can
      connect.  Its campaign journal then replays the queries that had
-     already settled. *)
+     already settled.  A spec that no longer prepares fails its job as
+     an unloadable journal does: [finished] with exit 4, its journal
+     left untouched, so it is not skipped again on every restart. *)
   List.iter
     (fun (id, name, priority, budget_s, deadline_s, trace, spec) ->
       match prepare_submission t spec with
-      | Error _ -> ()  (* spec no longer parses: leave it journaled *)
+      | Error reason ->
+          (try
+             Joblog.append ~path:joblog_path
+               (Joblog.Finished { job = id; exit_code = 4 })
+           with _ -> ());
+          t.recovery_failures <- (id, reason) :: t.recovery_failures
       | Ok prep ->
           let prep = { prep with p_id = id } in
           (match
@@ -676,6 +693,7 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
           | `Dup -> ()
           | `Fresh ->
               Metrics.incr m_jobs_recovered 1;
+              t.recovered <- t.recovered + 1;
               let job =
                 {
                   id;
@@ -702,6 +720,7 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
               in
               ignore (Admission.submit t.queue ~priority job)))
     pending;
+  t.recovery_failures <- List.rev t.recovery_failures;
   t.executor <- Some (Thread.create executor_loop t);
   (* The continuous-profiling tick.  Reading counters and Gc.quick_stat
      is a handful of loads every half second — observability the hot
@@ -727,6 +746,7 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
   t
 
 let recovered t = t.recovered
+let recovery_failures t = t.recovery_failures
 
 let request_drain t = Atomic.set t.draining true
 
@@ -759,7 +779,10 @@ let drain t =
   | None -> ()
   | Some th ->
       Thread.join th;
-      t.executor <- None
+      t.executor <- None;
+      (* The [finished] and [client_gone] events went out without an
+         fsync; one here makes a clean exit leave them all durable. *)
+      (try Joblog.sync ~path:t.joblog_path with Unix.Unix_error _ -> ())
 
 let listen_unix ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());

@@ -17,7 +17,11 @@
       per-job campaign journal.  SIGKILL at any instant loses no
       accepted job, and restart recovery re-runs the pending ones,
       replaying already-settled queries bit-identically via the same
-      [--resume] machinery the batch CLI uses.
+      [--resume] machinery the batch CLI uses.  Three promises hold:
+      an [accepted] frame goes out after the job's joblog line is
+      durable, a [verdict] frame after its journal line is (the
+      journal's syncer sends it once the line's group commit is done),
+      and [done] after all of the job's lines are.
     - {b Fault isolation.}  A crashing job degrades that job only
       (error frame, degraded exit code 4); a torn frame closes that
       connection only; a client vanishing mid-stream is recorded and
@@ -33,8 +37,11 @@ type config = {
   max_frame_bytes : int; (** declared-length cap on request frames *)
   state_dir : string;    (** joblog + per-job campaign journals *)
   settle_delay_s : float;
-      (** pause after each settled query — test pacing so a
-          kill-mid-campaign lands deterministically between queries *)
+      (** pause of the settling runner after each settled query, before
+          its next one: test pacing so a kill-mid-campaign lands
+          deterministically between queries.  The journal's syncer is
+          not paused, so each verdict is durable (and its frame sent)
+          during the pause *)
   slow_ms : float option;
       (** slow-query threshold: any [campaign.query]/[campaign.subbox]
           span over this many ms is appended to
@@ -70,7 +77,13 @@ val create :
     when the joblog does not load, leaving it untouched. *)
 
 val recovered : t -> int
-(** Jobs re-queued from the joblog at startup. *)
+(** Jobs re-queued from the joblog at startup; equal to the
+    [serve.jobs_recovered] counter this server added. *)
+
+val recovery_failures : t -> (string * string) list
+(** [(job, reason)] for each pending joblog job whose persisted spec no
+    longer prepares, in joblog order.  Each was failed at startup: a
+    [finished] event with exit 4, its journal left untouched. *)
 
 val listen_unix : path:string -> Unix.file_descr
 (** Bind + listen on a Unix-domain socket (unlinking any stale one). *)

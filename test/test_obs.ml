@@ -1101,6 +1101,116 @@ let test_journal_torn_tail_tolerated () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "mid-file corruption must not load")
 
+(* A fresh path: the writer creates the file by open and append, and
+   every group lands in filing order, whatever the syncer's grouping.
+   Each record's callback runs once its line is on disk. *)
+let test_journal_group_commit_keeps_order () =
+  Dpv_linprog.Faults.disable ();
+  with_temp_file @@ fun path ->
+  Sys.remove path;
+  let n = 12 in
+  let entries =
+    List.init n (fun i ->
+        {
+          (done_entry (distinct_stats i)) with
+          Journal.key = Printf.sprintf "k%02d" i;
+          label = Printf.sprintf "q%02d" i;
+        })
+  in
+  (* Callbacks run on the syncer, where a raised check would be lost:
+     they record what they saw instead. *)
+  let early = ref [] in
+  let on_disk (e : Journal.entry) _ =
+    match Journal.load ~path with
+    | Ok loaded when List.mem e loaded -> ()
+    | _ -> early := e.Journal.label :: !early
+  in
+  let before = Metrics.snapshot () in
+  let w = Journal.create ~path [] in
+  List.iter (fun e -> Journal.file w ~on_sync:(on_disk e) e) entries;
+  Journal.file_meta w
+    {
+      Journal.shard = 0;
+      shard_count = 1;
+      runners = 1;
+      total_wall_s = 0.5;
+      trace = "t";
+      metrics = Metrics.empty_snapshot;
+    };
+  Journal.close w;
+  let delta = Metrics.since ~before (Metrics.snapshot ()) in
+  let counter name =
+    Option.value ~default:0 (Metrics.counter_in delta name)
+  in
+  let hist_count name =
+    match Metrics.histogram_in delta name with
+    | Some h -> h.Metrics.count
+    | None -> 0
+  in
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
+  in
+  Alcotest.(check int) "N entries and the meta" (n + 1) (List.length lines);
+  Alcotest.(check bool) "the meta comes last" true
+    (contains ~needle:"journal_meta" (List.nth lines n));
+  (match Journal.load ~path with
+  | Ok loaded ->
+      Alcotest.(check (list string)) "entries in filing order"
+        (List.map (fun (e : Journal.entry) -> e.Journal.label) entries)
+        (List.map (fun (e : Journal.entry) -> e.Journal.label) loaded)
+  | Error e -> Alcotest.failf "journal does not load: %s" e);
+  Alcotest.(check (list string)) "no callback ran before its line was on disk"
+    [] !early;
+  Alcotest.(check bool) "no tmp file is left" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Alcotest.(check int) "a fresh file is not rewritten" 0
+    (counter "journal.rewrites");
+  Alcotest.(check int) "every record counted at filing" (n + 1)
+    (counter "journal.appends");
+  Alcotest.(check int) "every record's latency observed" (n + 1)
+    (hist_count "journal.append_ns");
+  let groups = hist_count "journal.sync_ns" in
+  Alcotest.(check bool)
+    (Printf.sprintf "between 1 and N+1 group commits (%d)" groups)
+    true
+    (groups >= 1 && groups <= n + 1)
+
+(* The first group write fails: it is counted once however many records
+   it held, their callbacks still run, and a rewrite (by the next group
+   or by the close) puts every entry on disk. *)
+let test_journal_failed_group_counted_once () =
+  with_temp_file @@ fun path ->
+  Sys.remove path;
+  let settled = ref [] in
+  let before = Metrics.snapshot () in
+  let report =
+    Fun.protect ~finally:Dpv_linprog.Faults.disable (fun () ->
+        Dpv_linprog.Faults.configure [ ("journal-crash", 1) ];
+        Campaign.run ~runners:1 ~journal:path
+          ~on_settled:(fun qr ->
+            settled := qr.Campaign.query.Campaign.label :: !settled)
+          ~perception (queries ()))
+  in
+  let delta = Metrics.since ~before (Metrics.snapshot ()) in
+  let counter name =
+    Option.value ~default:0 (Metrics.counter_in delta name)
+  in
+  Alcotest.(check int) "one failed write" 1
+    report.Campaign.journal_write_failures;
+  Alcotest.(check int) "counted once in journal.write_failures" 1
+    (counter "journal.write_failures");
+  Alcotest.(check int) "one rewrite recovered it" 1
+    (counter "journal.rewrites");
+  match Journal.load ~path with
+  | Ok entries ->
+      Alcotest.(check (list string))
+        "on_settled ran once per query, in settle order"
+        (List.map (fun (e : Journal.entry) -> e.Journal.label) entries)
+        (List.rev !settled);
+      Alcotest.(check int) "the journal holds every entry" 3
+        (List.length entries)
+  | Error e -> Alcotest.failf "journal does not load: %s" e
+
 (* ---- any text, any double ---- *)
 
 (* What a query name may hold: every ASCII byte, control characters
@@ -1113,8 +1223,11 @@ let odd_text =
    2^53 and a huge one. *)
 let odd_doubles = [ -0.0; 0.1; Int64.float_of_bits 1L; 0x1p53 +. 2.0; 1e300 ]
 
+(* JSON has no literal for these: they travel as strings. *)
+let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_json_round_trips_text_and_doubles () =
-  let nums = List.map (fun x -> Json.Num x) odd_doubles in
+  let nums = List.map (fun x -> Json.Num x) (odd_doubles @ non_finite) in
   let v = Json.Obj [ (odd_text, Json.Arr (Json.Str odd_text :: nums)) ] in
   List.iter
     (fun indent ->
@@ -1122,13 +1235,22 @@ let test_json_round_trips_text_and_doubles () =
       | Ok (Json.Obj [ (key, Json.Arr (Json.Str s :: back)) ]) ->
           Alcotest.(check string) "key verbatim" odd_text key;
           Alcotest.(check string) "string verbatim" odd_text s;
+          let finite = List.filteri (fun i _ -> i < List.length odd_doubles) back in
           Alcotest.(check (list int64)) "doubles bit for bit"
             (List.map Int64.bits_of_float odd_doubles)
             (List.map
                (function
                  | Json.Num x -> Int64.bits_of_float x
                  | _ -> Alcotest.fail "not a number")
-               back)
+               finite);
+          Alcotest.(check (list int64)) "nan, inf and -inf read back"
+            (List.map Int64.bits_of_float non_finite)
+            (List.map
+               (fun j ->
+                 match Json.to_float j with
+                 | Some x -> Int64.bits_of_float x
+                 | None -> Alcotest.fail "not a double")
+               (List.filteri (fun i _ -> i >= List.length odd_doubles) back))
       | Ok _ -> Alcotest.fail "the value changed shape"
       | Error e -> Alcotest.failf "indent %d does not parse: %s" indent e)
     [ 0; 1; 2 ]
@@ -1139,6 +1261,53 @@ let labels_of what doc =
   | Some qs ->
       List.map (fun q -> Option.bind (Json.member "label" q) Json.to_string) qs
   | None -> Alcotest.failf "%s has no queries" what
+
+(* A NaN logit or an infinite output is written as standard JSON
+   (Python's strict reader takes the line) and loads back. *)
+let test_journal_keeps_non_finite_numbers () =
+  let entry =
+    {
+      (done_entry (distinct_stats 0)) with
+      Journal.outcome =
+        Journal.Done
+          {
+            Verify.verdict =
+              Verify.Unsafe
+                {
+                  features = [| 0.5 |];
+                  output = [| Float.infinity; Float.neg_infinity |];
+                  logit = Float.nan;
+                };
+            milp_stats = distinct_stats 0;
+            encoding = "e";
+            num_binaries = 0;
+            wall_time_s = 0.5;
+          };
+    }
+  in
+  with_temp_file @@ fun path ->
+  Journal.save ~path [ entry ];
+  (match Journal.load ~path with
+  | Ok [ { Journal.outcome = Journal.Done r; _ } ] -> (
+      match r.Verify.verdict with
+      | Verify.Unsafe { output; logit; _ } ->
+          Alcotest.(check bool) "the logit is NaN" true (Float.is_nan logit);
+          Alcotest.(check (array (float 0.0))) "the outputs are infinite"
+            [| Float.infinity; Float.neg_infinity |]
+            output
+      | Verify.Safe _ | Verify.Unknown _ -> Alcotest.fail "verdict changed")
+  | Ok _ -> Alcotest.fail "the entry changed shape"
+  | Error e -> Alcotest.failf "journal does not load: %s" e);
+  let strict =
+    "import json, sys\n\
+     def refuse(c): raise ValueError(c)\n\
+     for line in open(sys.argv[1]):\n\
+    \    json.loads(line, parse_constant=refuse)\n"
+  in
+  Alcotest.(check int) "python's strict json.loads parses the line" 0
+    (Sys.command
+       (Printf.sprintf "python3 -c %s %s" (Filename.quote strict)
+          (Filename.quote path)))
 
 let test_journal_and_reports_keep_any_text () =
   let subnormal = Int64.float_of_bits 1L in
@@ -1251,6 +1420,8 @@ let tests =
       test_json_round_trips_text_and_doubles;
     Alcotest.test_case "journal and reports keep any text" `Quick
       test_journal_and_reports_keep_any_text;
+    Alcotest.test_case "journal keeps non-finite numbers" `Quick
+      test_journal_keeps_non_finite_numbers;
     Alcotest.test_case "campaign metrics equal legacy stats" `Quick
       test_campaign_metrics_agree_with_stats;
     Alcotest.test_case "campaign report embeds dpv-metrics/1" `Quick
@@ -1261,4 +1432,8 @@ let tests =
       test_journal_appends_and_latency;
     Alcotest.test_case "journal tolerates a torn tail only" `Quick
       test_journal_torn_tail_tolerated;
+    Alcotest.test_case "journal: group commit keeps settle order" `Quick
+      test_journal_group_commit_keeps_order;
+    Alcotest.test_case "journal: a failed group is counted once and retried"
+      `Quick test_journal_failed_group_counted_once;
   ]

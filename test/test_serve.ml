@@ -756,6 +756,78 @@ let test_serve_torn_joblog_tail_survives_restarts () =
         [ "a"; "b"; "c" ] );
     ]
 
+(* A pending job whose persisted spec no longer prepares is failed at
+   start, as a job whose journal does not load is: [finished] with exit
+   4 and its journal left byte for byte.  It is not counted as
+   recovered, and the next start no longer sees it pending. *)
+let test_serve_unpreparable_pending_job_fails () =
+  let dir = temp_dir "dpv-serve" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let spec, parsed, prepared = Lazy.force pipeline in
+  let state_dir = Filename.concat dir "state" in
+  Unix.mkdir state_dir 0o755;
+  let path = Filename.concat state_dir "joblog.jsonl" in
+  let journal = Filename.concat state_dir "job-bad.jsonl" in
+  write_file journal "kept as it is\n";
+  Joblog.append ~path
+    (Joblog.Accepted
+       {
+         job = "bad";
+         name = "bad";
+         priority = 0;
+         budget_s = None;
+         deadline_s = None;
+         trace = "";
+         spec =
+           Json.Obj
+             [ ("queries", Json.Arr [ query_obj ~psi:"nonsense" "q" ]) ];
+       });
+  let jobs_recovered () =
+    Metrics.counter_value (Metrics.counter "serve.jobs_recovered")
+  in
+  let start () =
+    let before = jobs_recovered () in
+    let server =
+      Server.create
+        ~config:(Server.default_config ~state_dir)
+        ~perception:prepared.Workflow.perception
+        ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+    in
+    let seen =
+      (Server.recovered server, jobs_recovered () - before,
+       Server.recovery_failures server)
+    in
+    let listen_fd =
+      Server.listen_unix ~path:(Filename.concat dir "dpv.sock")
+    in
+    Server.request_drain server;
+    Server.serve server listen_fd;
+    seen
+  in
+  let recovered, counted, failures = start () in
+  Alcotest.(check int) "nothing recovered" 0 recovered;
+  Alcotest.(check int) "recovered equals serve.jobs_recovered" counted
+    recovered;
+  (match failures with
+  | [ ("bad", reason) ] ->
+      Alcotest.(check bool) ("the reason names the query: " ^ reason) true
+        (contains reason "bad query")
+  | _ -> Alcotest.fail "the failed job must be named once");
+  let events = ok (Joblog.load ~path) in
+  Alcotest.(check (list int)) "the joblog records exit 4" [ 4 ]
+    (List.filter_map
+       (function
+         | Joblog.Finished { job = "bad"; exit_code } -> Some exit_code
+         | _ -> None)
+       events);
+  Alcotest.(check int) "no job is left pending" 0
+    (List.length (Joblog.pending events));
+  Alcotest.(check string) "the journal is left byte for byte"
+    "kept as it is\n"
+    (In_channel.with_open_bin journal In_channel.input_all);
+  let _, _, failures = start () in
+  Alcotest.(check int) "the next start fails nothing" 0 (List.length failures)
+
 let test_serve_warm_cache_across_jobs () =
   with_server @@ fun _server ~sock ~state_dir:_ ->
   let hits () = Metrics.counter_value (Metrics.counter "campaign.cache_hits") in
@@ -1479,10 +1551,43 @@ let test_kill_and_restart_recovers_without_loss () =
       | _ -> false);
   Unix.kill pid1 Sys.sigkill;
   ignore (Unix.waitpid [] pid1);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
   let snapshot = ok (Journal.load ~path:journal) in
+  (* Every frame the server sent before it died is still buffered on
+     the socket; read them up to the end of the stream. *)
+  let rec received acc =
+    match Frame.read fd with
+    | Ok payload -> received (ok (Json.of_string payload) :: acc)
+    | Error _ -> List.rev acc
+  in
+  let verdict_frames =
+    List.filter
+      (fun f -> Json.member "type" f = Some (Json.Str "verdict"))
+      (received [])
+  in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
   Alcotest.(check bool) "killed mid-campaign" true
     (List.length snapshot >= 1 && List.length snapshot < List.length queries);
+  (* A verdict frame is sent only once its journal line is durable. *)
+  List.iter
+    (fun f ->
+      let field k = Option.bind (Json.member k f) Json.to_string in
+      let label = Option.value (field "label") ~default:"" in
+      match
+        List.find_opt
+          (fun (e : Journal.entry) -> e.Journal.label = label)
+          snapshot
+      with
+      | Some e ->
+          Alcotest.(check (option string))
+            (label ^ ": the frame's verdict is the journaled one")
+            (Option.map
+               (fun r -> Campaign.verdict_word r.Verify.verdict)
+               (Journal.result_of_entry e))
+            (field "verdict")
+      | None ->
+          Alcotest.failf "%s: verdict frame sent before its line was durable"
+            label)
+    verdict_frames;
   (* The accepted job is journaled but unfinished. *)
   let events = ok (Joblog.load ~path:(Filename.concat state "joblog.jsonl")) in
   Alcotest.(check int) "the job is pending after the kill" 1
@@ -1564,6 +1669,8 @@ let tests =
      test_serve_damaged_joblog_refuses_start);
     ("serve: torn joblog tail survives restarts", `Slow,
      test_serve_torn_joblog_tail_survives_restarts);
+    ("serve: unpreparable pending job fails at start", `Slow,
+     test_serve_unpreparable_pending_job_fails);
     ("serve: warm cache across jobs", `Slow,
      test_serve_warm_cache_across_jobs);
     ("serve: setup mismatch refused", `Slow,
