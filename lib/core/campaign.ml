@@ -526,7 +526,8 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
     skipped;
     retried;
     resumed;
-    journal_write_failures = Option.fold ~none:0 ~some:Journal.write_failures writer;
+    journal_write_failures =
+      Option.fold ~none:0 ~some:Journal.write_failures writer;
     metrics;
   }
 

@@ -340,7 +340,7 @@ let await_synced w seq =
         Condition.wait w.synced w.lock
       done)
 
-(* File and wait: the old synchronous contract on the one writer path. *)
+(* File and wait: [append]'s synchronous contract, on [file]'s path. *)
 let file_and_wait file_record w x =
   let result = ref (Ok ()) in
   await_synced w (file_record w ~on_sync:(fun r -> result := r) x);

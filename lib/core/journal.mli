@@ -14,9 +14,10 @@
     callback runs only once its line is durable, and {!close} returns
     only once every filed line is.
 
-    - A fresh writer (no seeded entries) creates its file with its
-      first group: open, append, fsync the file, then fsync the
-      directory so the new name is durable too.
+    - A fresh writer (no seeded entries) creates its file, or
+      truncates a stale one, with its first group: open, append, fsync
+      the file, then fsync the directory so the new name is durable
+      too.
     - A seeded writer (the replayed entries of a resumed campaign)
       rewrites the whole journal with its first group: a temporary
       file in the same directory, fsync, [Sys.rename] over the target,
@@ -89,7 +90,8 @@ val file : writer -> ?on_sync:((unit, exn) result -> unit) -> entry -> unit
 (** Queue one settled query for the next group commit and return at
     once.  [on_sync] runs on the syncer, in filing order, once the
     group holding the line is durable ([Ok ()]) or its write failed
-    ([Error e]); exceptions it raises are ignored.  Raises
+    ([Error e]); exceptions it raises are ignored, and it must not
+    wait on the same writer ({!append}, {!close}).  Raises
     [Invalid_argument] after {!close}. *)
 
 val file_meta : writer -> meta -> unit

@@ -249,7 +249,8 @@ let buf_number b f =
        else string_of_int (int_of_float f))
   else if Float.is_finite f then Printf.bprintf b "%.17g" f
   else if Float.is_nan f then Buffer.add_string b {|"NaN"|}
-  else Buffer.add_string b (if f > 0.0 then {|"Infinity"|} else {|"-Infinity"|})
+  else
+    Buffer.add_string b (if f > 0.0 then {|"Infinity"|} else {|"-Infinity"|})
 
 (* [depth] is the nesting level of the container; containers above
    level [indent] put each member on its own line, deeper ones stay on
