@@ -1267,6 +1267,10 @@ let test_serve_trace_correlation_e2e () =
         (has_span "serve.job");
       Alcotest.(check bool) "campaign.query span present" true
         (has_span "campaign.query");
+      (* The journal's syncer commits the job's records inside the job,
+         so its span is in the extract and stamped like the rest. *)
+      Alcotest.(check bool) "journal.sync span present" true
+        (has_span "journal.sync");
       List.iter
         (fun e ->
           match Option.bind (Json.member "ph" e) Json.to_string with
