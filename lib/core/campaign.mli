@@ -239,10 +239,11 @@ val run :
     [Skipped] with [attempts = 0].
 
     [journal] files every settled query with a writer on the given
-    path (see {!Journal}) and closes it before [run] returns; [resume] replays [Done] entries previously loaded with
-    {!Journal.load}.  When both are given the journal is seeded with
-    the replayed entries, so the file always describes the whole
-    campaign.  [milp_options] applies to every query (default
+    path (see {!Journal}) and closes it before [run] returns; [resume]
+    replays [Done] entries previously loaded with {!Journal.load}.
+    When both are given the journal is seeded with the replayed
+    entries, so the file always describes the whole campaign.
+    [milp_options] applies to every query (default
     {!Verify.default_milp_options}).
 
     [shard = Some (i, n)] runs slice [i] of a deterministic [n]-way
