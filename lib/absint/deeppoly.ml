@@ -1,307 +1,33 @@
 module Layer = Dpv_nn.Layer
 module Network = Dpv_nn.Network
 module Mat = Dpv_tensor.Mat
-module Vec = Dpv_tensor.Vec
-
-(* One affine expression over the input variables. *)
-type expr = { coeffs : Vec.t; const : float }
-
-(* [conc] caches the tightest known concrete interval per neuron: the
-   meet of the symbolic bounds' concretization and a plain box transfer.
-   This guarantees the domain is never looser than {!Box_domain} even on
-   neurons where the symbolic relaxation is weak (e.g. the [y >= x]
-   lower bound of a crossing ReLU concretizes below zero). *)
-type t = {
-  input_box : Box_domain.t;
-  lower : expr array;
-  upper : expr array;
-  conc : Interval.t array;
-}
-
-let dim t = Array.length t.lower
-let input_dim t = Array.length t.input_box
-
-(* Tightest concrete value of an affine expression over the input box:
-   positive coefficients pull from the matching side of the box. *)
-let concretize_lo box e =
-  let acc = ref e.const in
-  Array.iteri
-    (fun j c ->
-      let iv : Interval.t = box.(j) in
-      acc := !acc +. if c >= 0.0 then c *. iv.Interval.lo else c *. iv.Interval.hi)
-    e.coeffs;
-  !acc
-
-let concretize_hi box e =
-  let acc = ref e.const in
-  Array.iteri
-    (fun j c ->
-      let iv : Interval.t = box.(j) in
-      acc := !acc +. if c >= 0.0 then c *. iv.Interval.hi else c *. iv.Interval.lo)
-    e.coeffs;
-  !acc
-
-let to_box t = Array.copy t.conc
-
-let of_box box =
-  Array.iter
-    (fun (iv : Interval.t) ->
-      if not (Float.is_finite iv.Interval.lo && Float.is_finite iv.Interval.hi)
-      then invalid_arg "Deeppoly.of_box: unbounded side")
-    box;
-  let d = Array.length box in
-  let identity i =
-    let coeffs = Vec.zeros d in
-    coeffs.(i) <- 1.0;
-    { coeffs; const = 0.0 }
-  in
-  {
-    input_box = box;
-    lower = Array.init d identity;
-    upper = Array.init d identity;
-    conc = Array.copy box;
-  }
-
-let scale_expr c e = { coeffs = Vec.scale c e.coeffs; const = c *. e.const }
-let add_expr a b = { coeffs = Vec.add a.coeffs b.coeffs; const = a.const +. b.const }
-let const_expr n c = { coeffs = Vec.zeros n; const = c }
-
-(* Both arguments are sound enclosures, so their intersection is too;
-   if float rounding makes them nominally disjoint — or a degenerate
-   transfer left a nan side — keep whichever operand is still a
-   well-formed interval. *)
-let meet_safe box_iv expr_iv =
-  let well_formed (iv : Interval.t) =
-    (not (Float.is_nan iv.Interval.lo)) && not (Float.is_nan iv.Interval.hi)
-  in
-  match (well_formed box_iv, well_formed expr_iv) with
-  | true, true -> (
-      match Interval.meet box_iv expr_iv with
-      | Some iv -> iv
-      | None -> box_iv)
-  | true, false -> box_iv
-  | false, true -> expr_iv
-  | false, false -> Interval.top
-
-(* Finalize a transfer step: concretize the fresh symbolic bounds and
-   intersect with the box-domain image of the previous concrete cache. *)
-let rebuild t layer ~lower ~upper =
-  let box_image = Box_domain.transfer_layer layer t.conc in
-  let conc =
-    Array.init (Array.length lower) (fun i ->
-        let lo = concretize_lo t.input_box lower.(i) in
-        let hi = concretize_hi t.input_box upper.(i) in
-        let expr_iv =
-          if lo <= hi then Interval.make ~lo ~hi else box_image.(i)
-        in
-        meet_safe box_image.(i) expr_iv)
-  in
-  { t with lower; upper; conc }
-
-(* Affine combination: picking the lower expr for positive weights and
-   the upper expr for negative ones yields a sound lower bound (and
-   symmetrically for upper). *)
-let affine_combine n ~weights_row ~bias ~lower ~upper =
-  let lo = ref (const_expr n bias) and hi = ref (const_expr n bias) in
-  Array.iteri
-    (fun j w ->
-      if w > 0.0 then begin
-        lo := add_expr !lo (scale_expr w lower.(j));
-        hi := add_expr !hi (scale_expr w upper.(j))
-      end
-      else if w < 0.0 then begin
-        lo := add_expr !lo (scale_expr w upper.(j));
-        hi := add_expr !hi (scale_expr w lower.(j))
-      end)
-    weights_row;
-  (!lo, !hi)
-
-let transfer_dense t layer weights bias =
-  let n = input_dim t in
-  let rows = Mat.rows weights in
-  let lower = Array.make rows (const_expr n 0.0) in
-  let upper = Array.make rows (const_expr n 0.0) in
-  for i = 0 to rows - 1 do
-    let lo, hi =
-      affine_combine n ~weights_row:(Mat.row weights i) ~bias:bias.(i)
-        ~lower:t.lower ~upper:t.upper
-    in
-    lower.(i) <- lo;
-    upper.(i) <- hi
-  done;
-  rebuild t layer ~lower ~upper
-
-let transfer_diag t layer scale shift =
-  let d = dim t in
-  let n = input_dim t in
-  let lower = Array.make d (const_expr n 0.0) in
-  let upper = Array.make d (const_expr n 0.0) in
-  for i = 0 to d - 1 do
-    let a = scale.(i) and b = shift.(i) in
-    if Float.is_finite a && Float.is_finite b then begin
-      let scaled_lo = scale_expr a t.lower.(i)
-      and scaled_hi = scale_expr a t.upper.(i) in
-      let lo, hi =
-        if a >= 0.0 then (scaled_lo, scaled_hi) else (scaled_hi, scaled_lo)
-      in
-      lower.(i) <- { lo with const = lo.const +. b };
-      upper.(i) <- { hi with const = hi.const +. b }
-    end
-    else begin
-      (* A non-finite scale or shift would smear inf/nan coefficients
-         over every downstream concretization; keep the neuron as an
-         opaque constant interval instead, widening any nan side. *)
-      let raw = Interval.add (Interval.scale a t.conc.(i)) (Interval.point b) in
-      let lo = if Float.is_nan raw.Interval.lo then neg_infinity else raw.Interval.lo in
-      let hi = if Float.is_nan raw.Interval.hi then infinity else raw.Interval.hi in
-      let lo, hi = if lo <= hi then (lo, hi) else (neg_infinity, infinity) in
-      lower.(i) <- const_expr n lo;
-      upper.(i) <- const_expr n hi
-    end
-  done;
-  rebuild t layer ~lower ~upper
-
-(* DeepPoly ReLU bounds for one neuron.  With concrete pre-activation
-   bounds [l, u]:
-     u <= 0           -> y = 0
-     l >= 0           -> y unchanged
-     l < 0 < u        -> upper: y <= (u/(u-l)) (x - l), substituting x's
-                         upper expression; lower: y >= x if u > -l (the
-                         smaller-area choice) else y >= 0.
-   The chord slope u/(u-l) goes non-finite when u - l overflows (huge
-   bounds of opposite sign) and nan when the cached bounds are already
-   poisoned; either way the symbolic relaxation would smear inf/nan
-   coefficients over every downstream concretization, so the crossing
-   case guards the slope and falls back to the box relaxation
-   0 <= y <= u for that neuron. *)
-let relu_neuron_bounds t n i =
-  let { Interval.lo = l; hi = u } = t.conc.(i) in
-  if u <= 0.0 then (const_expr n 0.0, const_expr n 0.0)
-  else if l >= 0.0 then (t.lower.(i), t.upper.(i))
-  else begin
-    let denom = u -. l in
-    let lambda = u /. denom in
-    if Float.is_finite denom && denom > 0.0 && Float.is_finite lambda then begin
-      let up = scale_expr lambda t.upper.(i) in
-      let upper = { up with const = up.const -. (lambda *. l) } in
-      let lower = if u > -.l then t.lower.(i) else const_expr n 0.0 in
-      (lower, upper)
-    end
-    else (const_expr n 0.0, const_expr n u)
-  end
-
-let transfer_relu t =
-  let d = dim t in
-  let n = input_dim t in
-  let lower = Array.make d (const_expr n 0.0) in
-  let upper = Array.make d (const_expr n 0.0) in
-  for i = 0 to d - 1 do
-    let lo, hi = relu_neuron_bounds t n i in
-    lower.(i) <- lo;
-    upper.(i) <- hi
-  done;
-  rebuild t Layer.Relu ~lower ~upper
 
 type phase = Active | Inactive | Unknown
 
 exception Empty_region
 
-(* ReLU transfer under externally-fixed phases (the branch-and-bound
-   binary fixings).  [Inactive] asserts pre-activation x <= 0 (so
-   y = 0); [Active] asserts x >= 0 (so y = x); [Unknown] neurons get
-   the ordinary DeepPoly relaxation.  Returns [None] when a fixing
-   contradicts the propagated pre-activation bounds — the abstract
-   region is empty, so the search node carrying these fixings is
-   infeasible.  The x = 0 boundary is feasible under either phase, so
-   the contradiction tests are strict. *)
-let transfer_relu_fixed phases t =
-  let d = dim t in
-  if Array.length phases <> d then
-    invalid_arg "Deeppoly.transfer_relu_fixed: phase array dimension";
-  let n = input_dim t in
-  let lower = Array.make d (const_expr n 0.0) in
-  let upper = Array.make d (const_expr n 0.0) in
-  try
-    for i = 0 to d - 1 do
-      let { Interval.lo = l; hi = u } = t.conc.(i) in
-      match phases.(i) with
-      | Inactive ->
-          if l > 0.0 then raise Empty_region;
-          lower.(i) <- const_expr n 0.0;
-          upper.(i) <- const_expr n 0.0
-      | Active ->
-          if u < 0.0 then raise Empty_region;
-          lower.(i) <- t.lower.(i);
-          upper.(i) <- t.upper.(i)
-      | Unknown ->
-          let lo, hi = relu_neuron_bounds t n i in
-          lower.(i) <- lo;
-          upper.(i) <- hi
-    done;
-    Some (rebuild t Layer.Relu ~lower ~upper)
-  with Empty_region -> None
+(* In-place DeepPoly.  Each neuron carries a symbolic lower and upper
+   bound (affine expressions over the input) and a concrete interval:
+   the meet of their concretization over the input box and a plain box
+   transfer of the previous layer, so the domain is never looser than
+   [Box_domain] even where the relaxation is weak (the [y >= x] lower
+   bound of a crossing ReLU concretizes below zero).
 
-(* Smooth activations: fall back to the concrete interval image (sound,
-   loses the symbolic information for those neurons). *)
-let transfer_monotone t layer f =
-  let d = dim t in
-  let n = input_dim t in
-  let lower = Array.make d (const_expr n 0.0) in
-  let upper = Array.make d (const_expr n 0.0) in
-  for i = 0 to d - 1 do
-    let iv = t.conc.(i) in
-    lower.(i) <- const_expr n (f iv.Interval.lo);
-    upper.(i) <- const_expr n (f iv.Interval.hi)
-  done;
-  rebuild t layer ~lower ~upper
+   The branch-and-bound guide re-propagates the same network under
+   fixings that differ from the previous node's by one or two ReLU
+   layers.  [Resumable] keeps one preallocated buffer per layer and
+   re-runs only the layers at or past the earliest change; a layer's
+   floats depend only on the layer before it, so a resumed propagation
+   is bit-identical to a from-scratch one.  Steady-state propagation
+   allocates nothing: loops write into preallocated float arrays,
+   scalar accumulation goes through array cells rather than [ref]s,
+   and the empty-region escape is a constant exception.
 
-let rec transfer_layer layer t =
-  match layer with
-  | Layer.Conv2d _ -> transfer_layer (Layer.lower_to_dense layer) t
-  | Layer.Dense { weights; bias } -> transfer_dense t layer weights bias
-  | Layer.Relu -> transfer_relu t
-  | Layer.Sigmoid ->
-      transfer_monotone t layer (fun x -> 1.0 /. (1.0 +. exp (-.x)))
-  | Layer.Tanh -> transfer_monotone t layer tanh
-  | Layer.Batch_norm _ -> (
-      match Layer.batch_norm_scale_shift layer with
-      | Some (scale, shift) -> transfer_diag t layer scale shift
-      | None -> assert false)
-
-let propagate_all net t =
-  if dim t <> Network.input_dim net then
-    invalid_arg "Deeppoly.propagate_all: wrong input dimension";
-  let n = Network.num_layers net in
-  let out = Array.make (n + 1) (to_box t) in
-  let cur = ref t in
-  for l = 1 to n do
-    cur := transfer_layer (Network.layer net l) !cur;
-    out.(l) <- to_box !cur
-  done;
-  out
-
-(* ------------------------------------------------------------------ *)
-(* Resumable in-place propagation.                                     *)
-(*                                                                     *)
-(* The branch-and-bound guide re-propagates the same network under     *)
-(* phase fixings that differ from the previous node's by one or two    *)
-(* ReLU layers, so almost all of every propagation is recomputation.   *)
-(* [Resumable] keeps one preallocated buffer per layer (symbolic       *)
-(* coefficient rows, constants, concrete bounds) and re-runs only the  *)
-(* layers at or past the earliest change.                              *)
-(*                                                                     *)
-(* Every kernel below mirrors the immutable transfer above operation   *)
-(* for operation — same accumulation order, same branch conditions,    *)
-(* same nan/overflow fallbacks — so a resumed propagation is           *)
-(* bit-identical to a from-scratch one: reusing a cached layer state   *)
-(* reuses exactly the floats the scratch run would recompute.  Any     *)
-(* edit to a transfer above must be replayed here (and the property    *)
-(* tests compare the two paths bit-for-bit on random networks).        *)
-(*                                                                     *)
-(* Steady-state propagation allocates nothing: all loops write into    *)
-(* preallocated float arrays, scalar accumulation goes through array   *)
-(* cells rather than [ref]s, and the empty-region escape is a          *)
-(* constant exception.                                                 *)
+   test/deeppoly_reference.ml keeps the immutable transfers this kernel
+   was written against, and the tests compare the two bit for bit
+   (same accumulation order, branch conditions and nan/overflow
+   fallbacks): an edit here that moves a float fails them, and a
+   deliberate change of semantics is made in both. *)
 module Resumable = struct
   type slot = {
     s_dim : int;
@@ -309,15 +35,13 @@ module Resumable = struct
     lo_k : float array; (* per neuron: lower-expression constant *)
     hi_c : float array array;
     hi_k : float array;
-    cl : float array; (* concrete lower bounds (the [conc] cache) *)
+    cl : float array; (* concrete lower bounds *)
     ch : float array;
   }
 
-  (* Conv2d is lowered to dense once at plan time ([transfer_layer]
-     lowers it on every visit; [Layer.lower_to_dense] is deterministic,
-     so the weights are identical).  Sigmoid/tanh get their own
-     constructors so the kernel calls [exp]/[tanh] directly instead of
-     through a float-boxing closure. *)
+  (* Conv2d is lowered to dense once, at plan time.  Sigmoid/tanh get
+     their own constructors so the kernel calls [exp]/[tanh] directly
+     instead of through a float-boxing closure. *)
   type step =
     | S_dense of float array array * float array
     | S_relu
@@ -449,10 +173,13 @@ module Resumable = struct
 
   (* --- kernels; [m] = output dim, [cols] = src dim, [id] = input dim *)
 
-  (* Mirror of [rebuild]: [st.img_lo/hi] holds the box-domain image of
-     the source conc, the dst expressions are concretized against the
-     input box ([concretize_lo/hi]'s accumulation order), and the two
-     enclosures meet per [meet_safe]. *)
+  (* Finalize a transfer step.  [st.img_lo/hi] holds the box-domain
+     image of the source's concrete bounds.  The dst expressions are
+     concretized against the input box (a positive coefficient pulls
+     from the matching side of the box), and the two enclosures meet.
+     Both are sound, so their intersection is too; if float rounding
+     makes them nominally disjoint, or a degenerate transfer left a nan
+     side, keep whichever operand is still a well-formed interval. *)
   let rebuild_into st (dst : slot) m =
     let id = Array.length st.in_lo in
     let ex_lo = st.ex_lo and ex_hi = st.ex_hi in
@@ -503,8 +230,10 @@ module Resumable = struct
       end
     done
 
-  (* Mirror of [transfer_dense] + the dense [Box_domain.transfer_layer]
-     row ([Interval.dot] then adding the bias point). *)
+  (* Affine layer: picking the source's lower expression for positive
+     weights and its upper expression for negative ones yields a sound
+     lower bound (and symmetrically for the upper).  The box image is
+     the row's [Interval.dot] with the source bounds plus the bias. *)
   let dense_into st ~cols (src : slot) (dst : slot) rows bias =
     let id = Array.length st.in_lo in
     let m = Array.length rows in
@@ -558,12 +287,21 @@ module Resumable = struct
     done;
     rebuild_into st dst m
 
-  (* Mirror of [transfer_relu_fixed] (with [relu_neuron_bounds] inlined
-     for the [Unknown] case) + the ReLU box image. *)
+  (* ReLU under the search's phase fixings: [Inactive] asserts x <= 0
+     (y = 0), [Active] asserts x >= 0 (y = x), and a fixing the
+     pre-activation bounds contradict raises [Empty_region] (strictly:
+     x = 0 is feasible under either phase).  [Unknown] takes the
+     DeepPoly relaxation over the bounds [l, u]: y = 0 if u <= 0, y = x
+     if l >= 0, else the upper chord y <= (u/(u-l)) (x - l) and the
+     lower bound y >= x when u > -l (the smaller area), y >= 0
+     otherwise.  The slope goes non-finite when u - l overflows and nan
+     when the bounds are poisoned; either would smear inf/nan over every
+     later concretization, so the neuron then falls back to the box
+     relaxation 0 <= y <= u. *)
   let relu_into st ~m (src : slot) (dst : slot) phases =
     let id = Array.length st.in_lo in
     if Array.length phases <> m then
-      invalid_arg "Deeppoly.transfer_relu_fixed: phase array dimension";
+      invalid_arg "Deeppoly.Resumable.propagate: phase array dimension";
     for i = 0 to m - 1 do
       let l = src.cl.(i) and u = src.ch.(i) in
       (match phases.(i) with
@@ -624,8 +362,11 @@ module Resumable = struct
     done;
     rebuild_into st dst m
 
-  (* Mirror of [transfer_diag] (including the non-finite scale/shift
-     fallback) + the batch-norm box image. *)
+  (* Batch norm as a per-neuron affine map y = a x + b; a negative [a]
+     swaps the expressions.  A non-finite scale or shift would smear
+     inf/nan coefficients over every downstream concretization, so the
+     neuron becomes an opaque constant interval instead, widening any
+     nan side. *)
   let diag_into st ~m (src : slot) (dst : slot) scale shift =
     let id = Array.length st.in_lo in
     for i = 0 to m - 1 do
@@ -680,9 +421,10 @@ module Resumable = struct
     done;
     rebuild_into st dst m
 
-  (* Mirror of [transfer_monotone] + the monotone box image (both apply
-     the same function endpoint-wise, so expression constants and image
-     coincide before concretization). *)
+  (* Smooth activations fall back to the concrete interval image: sound,
+     but the neurons lose their symbolic information.  Expression
+     constants and box image apply the same function endpoint-wise, so
+     they coincide before concretization. *)
   let mono_into st ~m (src : slot) (dst : slot) which =
     let id = Array.length st.in_lo in
     for i = 0 to m - 1 do
@@ -730,3 +472,10 @@ module Resumable = struct
      with Empty_region -> st.empty <- true);
     st.progress
 end
+
+let propagate_all net box =
+  let plan = Resumable.plan net in
+  let st = Resumable.create plan box in
+  let unknowns l = Array.make (Resumable.layer_dim plan l) Unknown in
+  ignore (Resumable.propagate st ~phases:unknowns : int);
+  Array.init (Resumable.num_layers plan + 1) (Resumable.box_of_layer st)

@@ -13,17 +13,10 @@
     (the paper's related work names box, octagon and zonotope; symbolic
     propagation is its reference [20]). *)
 
-type t
-
-val of_box : Box_domain.t -> t
-(** Sides must be finite. *)
-
-val to_box : t -> Box_domain.t
-(** Concretized per-neuron interval bounds. *)
-
-val transfer_layer : Dpv_nn.Layer.t -> t -> t
-val propagate_all : Dpv_nn.Network.t -> t -> Box_domain.t array
-(** Interval enclosures at every layer (index 0 = the input box). *)
+val propagate_all : Dpv_nn.Network.t -> Box_domain.t -> Box_domain.t array
+(** Interval enclosures at every layer (index 0 = the input box): a
+    fresh {!Resumable} state propagated once with every ReLU phase
+    [Unknown].  The box's sides must be finite. *)
 
 type phase = Active | Inactive | Unknown
 (** One ReLU neuron's phase as fixed by an external search:
@@ -31,29 +24,22 @@ type phase = Active | Inactive | Unknown
     asserts [x <= 0] (so [y = 0]), [Unknown] leaves the ordinary
     DeepPoly relaxation in place. *)
 
-val transfer_relu_fixed : phase array -> t -> t option
-(** ReLU transfer under fixed phases, one entry per neuron of the
-    current layer.  Returns [None] when a fixing contradicts the
-    propagated pre-activation bounds (strictly: [Inactive] with
-    [lo > 0], [Active] with [hi < 0]) — the abstract region is empty,
-    so a branch-and-bound node carrying these fixings is infeasible.
-    The [x = 0] boundary is feasible under either phase. *)
-
-(** Resumable in-place propagation for callers that re-propagate the
+(** In-place propagation, resumable for callers that re-propagate the
     same network many times under slowly-changing phase fixings (the
     branch-and-bound guide).  A {!Resumable.state} keeps one
     preallocated buffer per layer; {!Resumable.propagate} re-runs only
     the layers past {!Resumable.valid}, and the caller rolls [valid]
     back with {!Resumable.invalidate_from} when a shallower fixing
-    changes.
+    changes.  A resumed propagation is bit-identical to a from-scratch
+    one, and steady-state propagation allocates nothing.
 
-    Every kernel mirrors the immutable transfers above operation for
-    operation — same accumulation order, same guards, same nan
-    fallbacks — so a resumed propagation is bit-identical to a
-    from-scratch one ([propagate] with all-[Unknown] phases matches
-    folding {!transfer_layer}; with fixings it matches folding
-    {!transfer_relu_fixed}).  Steady-state propagation allocates
-    nothing. *)
+    This is the library's only DeepPoly implementation.  The test
+    suite keeps the immutable, one-record-per-layer transfers it was
+    written against ([test/deeppoly_reference.ml]) and checks that
+    every kernel matches them bit for bit: same accumulation order,
+    same guards, same nan fallbacks ([propagate] with all-[Unknown]
+    phases against the reference [propagate_all], with fixings against
+    its [transfer_relu_fixed]). *)
 module Resumable : sig
   type plan
   (** Immutable per-network propagation recipe (Conv2d pre-lowered to
@@ -91,9 +77,11 @@ module Resumable : sig
       phase per neuron; the engine guarantees layer [l - 1]'s bounds
       are readable (via {!conc_view}) when it asks, and only reads the
       array during the call.  Returns the number of layers transferred.
-      When a fixing contradicts the propagated bounds the run stops at
-      the contradicting layer, {!last_empty} turns true, and deeper
-      states are invalid. *)
+      When a fixing contradicts the propagated pre-activation bounds
+      (strictly: [Inactive] with [lo > 0], [Active] with [hi < 0]; the
+      [x = 0] boundary is feasible under either phase) the region is
+      empty: the run stops at the contradicting layer, {!last_empty}
+      turns true, and deeper states are invalid. *)
 
   val last_empty : state -> bool
 

@@ -17,7 +17,7 @@ let all_layer_bounds domain net ~input_box =
   match domain with
   | Box -> Box_domain.propagate_all net input_box
   | Zonotope -> Zonotope.propagate_all net (Zonotope.of_box input_box)
-  | Deeppoly -> Deeppoly.propagate_all net (Deeppoly.of_box input_box)
+  | Deeppoly -> Deeppoly.propagate_all net input_box
 
 let layer_bounds domain net ~input_box ~cut =
   let all = all_layer_bounds domain (Network.prefix net ~cut) ~input_box in

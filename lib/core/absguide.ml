@@ -5,8 +5,6 @@ module Box_domain = Dpv_absint.Box_domain
 module Interval = Dpv_absint.Interval
 module Deeppoly = Dpv_absint.Deeppoly
 module Resumable = Dpv_absint.Deeppoly.Resumable
-module Layer = Dpv_nn.Layer
-module Network = Dpv_nn.Network
 module Risk = Dpv_spec.Risk
 module Linexpr = Dpv_spec.Linexpr
 module Metrics = Dpv_obs.Metrics
@@ -62,49 +60,39 @@ let query_unreachable ~psi ~characterizer_margin ~output_box ~logit_box =
          | `Ge -> iv.Interval.hi < ineq.Risk.bound)
        psi.Risk.inequalities
 
-(* ---------------- immutable reference propagation ----------------
+(* ---------------- from-scratch reference propagation ----------------
 
-   The from-scratch semantics the incremental engine must reproduce,
-   written over the immutable domain: transfer every layer under the
-   node's effective phases — the node's own fixing where one exists,
-   otherwise the phase the propagated pre-activation bounds imply
-   ([hi <= 0] before [lo >= 0], the same order the ReLU transfer
-   resolves an [Unknown]).  Used by the debug cross-check under fault
-   builds, and by tests as the independent oracle. *)
-let reference_outputs ~net ~relus ~box node =
-  let t = ref (Deeppoly.of_box box) in
-  let empty = ref false in
-  List.iteri
-    (fun idx layer ->
-      if not !empty then
-        match layer with
-        | Layer.Relu -> (
-            let pre = Deeppoly.to_box !t in
-            let d = Array.length pre in
-            let phases = Array.make d Deeppoly.Unknown in
-            (match List.assoc_opt (idx + 1) relus with
-            | None -> ()
-            | Some vars ->
-                let n = min d (Array.length vars) in
-                for i = 0 to n - 1 do
-                  match vars.(i) with
-                  | None -> ()
-                  | Some v -> (
-                      match phase_of node v with
-                      | Deeppoly.Unknown ->
-                          let iv = pre.(i) in
-                          if iv.Interval.hi <= 0.0 then
-                            phases.(i) <- Deeppoly.Inactive
-                          else if iv.Interval.lo >= 0.0 then
-                            phases.(i) <- Deeppoly.Active
-                      | p -> phases.(i) <- p)
-                done);
-            match Deeppoly.transfer_relu_fixed phases !t with
-            | Some t' -> t := t'
-            | None -> empty := true)
-        | layer -> t := Deeppoly.transfer_layer layer !t)
-    (Network.layers net);
-  if !empty then None else Some (Deeppoly.to_box !t)
+   The from-scratch semantics the incremental engine must reproduce: a
+   fresh state propagated from layer 1 under the node's effective
+   phases — the node's own fixing where one exists, otherwise the phase
+   the propagated pre-activation bounds imply ([hi <= 0] before
+   [lo >= 0], the same order the ReLU kernel resolves an [Unknown]).
+   It shares no cached layer with any guide instance, so the debug
+   cross-check under fault builds catches a state that a skipped
+   invalidation left stale.  [None] when a fixing empties the region. *)
+let reference_output plan ~relus ~box node =
+  let st = Resumable.create plan box in
+  let phases l =
+    let d = Resumable.layer_dim plan l in
+    let phases = Array.make d Deeppoly.Unknown in
+    (match List.assoc_opt l relus with
+    | None -> ()
+    | Some vars ->
+        let cl, ch = Resumable.conc_view st ~layer:(l - 1) in
+        for i = 0 to min d (Array.length vars) - 1 do
+          match vars.(i) with
+          | None -> ()
+          | Some v -> (
+              match phase_of node v with
+              | Deeppoly.Unknown ->
+                  if ch.(i) <= 0.0 then phases.(i) <- Deeppoly.Inactive
+                  else if cl.(i) >= 0.0 then phases.(i) <- Deeppoly.Active
+              | p -> phases.(i) <- p)
+        done);
+    phases
+  in
+  ignore (Resumable.propagate st ~phases : int);
+  if Resumable.last_empty st then None else Some (Resumable.output_box st)
 
 (* ---------------- per-instance incremental state ---------------- *)
 
@@ -485,11 +473,11 @@ let factory ?seed ~suffix ~head ~feature_box ~suffix_relus
     end
   in
   (* Debug cross-check (armed fault harness only): compare the engine's
-     bounds against the immutable from-scratch reference bit-for-bit.
-     Any divergence — in particular one injected by [absint-stale] —
-     falls back to a clean re-propagation. *)
+     bounds against a from-scratch propagation bit-for-bit.  Any
+     divergence — in particular one injected by [absint-stale] — falls
+     back to a clean re-propagation. *)
   let diverged inst node =
-    match reference_outputs ~net:suffix ~relus:suffix_relus ~box:feature_box node with
+    match reference_output splan ~relus:suffix_relus ~box:feature_box node with
     | None -> not (Resumable.last_empty inst.i_suffix.ns_st)
     | Some sbox ->
         if Resumable.last_empty inst.i_suffix.ns_st then true
@@ -500,7 +488,7 @@ let factory ?seed ~suffix ~head ~feature_box ~suffix_relus
         then true
         else (
           match
-            reference_outputs ~net:head ~relus:head_relus ~box:feature_box node
+            reference_output hplan ~relus:head_relus ~box:feature_box node
           with
           | None -> not (Resumable.last_empty inst.i_head.ns_st)
           | Some hbox ->

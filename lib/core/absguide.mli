@@ -10,7 +10,7 @@
     Per node, a guide instance reads each binary's current LP bounds to
     recover the node's ReLU phase fixings, propagates DeepPoly through
     the suffix and the characterizer head under those fixings
-    ({!Dpv_absint.Deeppoly.transfer_relu_fixed} semantics), and
+    ({!Dpv_absint.Deeppoly.Resumable.propagate} semantics), and
     reports:
 
     - [prune] when a fixing contradicts the propagated bounds or the
@@ -65,8 +65,8 @@ val root_propagation :
   feature_box:Dpv_absint.Box_domain.t ->
   seed
 (** Propagate both networks over [feature_box] with no fixings (all
-    ReLU phases [Unknown]).  Bit-identical to folding the immutable
-    {!Dpv_absint.Deeppoly.transfer_layer} over each network. *)
+    ReLU phases [Unknown]).  Bit-identical to
+    {!Dpv_absint.Deeppoly.propagate_all} over each network. *)
 
 val seed_output_box : seed -> Dpv_absint.Box_domain.t
 (** The suffix network's propagated output box. *)
@@ -109,7 +109,10 @@ val factory :
     re-propagates nothing.
 
     Under an armed fault harness ({!Dpv_linprog.Faults.enabled}) every
-    consult is cross-checked bit-for-bit against an immutable
-    from-scratch reference; a divergence (e.g. injected by the
-    [absint-stale] site) increments [absint.stale_fallbacks] and falls
-    back to a clean re-propagation. *)
+    consult is cross-checked bit-for-bit against a fresh
+    {!Dpv_absint.Deeppoly.Resumable} state propagated from layer 1
+    under the node's effective phases (its own fixings, else the phase
+    the bounds imply), which shares no cached layer with the instance;
+    a divergence (e.g. injected by the [absint-stale] site) increments
+    [absint.stale_fallbacks] and falls back to a clean
+    re-propagation. *)

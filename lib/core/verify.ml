@@ -141,8 +141,8 @@ let m_discharged = Metrics.counter "bisect.discharged"
 (* Leaf discharge: the sub-box is safe when DeepPoly alone separates it
    from the query — [verify_incomplete]'s conditions, applied to the
    sub-box instead of the whole region.  The propagation runs once,
-   through the resumable engine (bit-identical to the immutable one);
-   a leaf that survives keeps it as [Some seed], which the MILP guide
+   through the same DeepPoly kernel as [Propagate] and the guide; a
+   leaf that survives keeps it as [Some seed], which the MILP guide
    later adopts as its root state instead of propagating the same
    restricted box a second time. *)
 let subbox_discharged ~suffix ~head ~psi ~characterizer_margin box =

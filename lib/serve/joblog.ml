@@ -1,10 +1,11 @@
 module Json = Dpv_obs.Json
 
 (* The server's own journal: one JSON line per lifecycle event.
-   Recovery is a pure fold over the lines — accepted jobs with no
-   finished record are re-run from their persisted spec.  Lines are
-   read by {!Dpv_core.Journal.read_lines}, so a torn tail (a crash
-   mid-append) is dropped under the campaign journal's rule.
+   Recovery is a pure fold over the lines — a job whose latest
+   acceptance has no finished record after it is re-run from its
+   persisted spec.  Lines are read by {!Dpv_core.Journal.read_lines},
+   so a torn tail (a crash mid-append) is dropped under the campaign
+   journal's rule.
 
    Only [accepted] is fsynced, before the [accepted] frame can go out:
    it is the no-lost-jobs promise.  [finished] and [client_gone] guard
@@ -144,17 +145,24 @@ let seal ~path =
         write ~path ~sync:true "\n"
       else Unix.truncate path cut
 
+(* A job id is accepted again when a client resubmits the same queries
+   after an earlier run finished, so only an id's latest acceptance
+   counts: it is pending unless a [finished] for the id comes after it.
+   Read backwards, the first [accepted] or [finished] naming an id
+   decides it. *)
 let pending events =
-  let finished = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Finished { job; _ } -> Hashtbl.replace finished job ()
-      | Accepted _ | Client_gone _ -> ())
-    events;
-  List.filter_map
-    (function
-      | Accepted { job; name; priority; budget_s; deadline_s; trace; spec }
-        when not (Hashtbl.mem finished job) ->
-          Some (job, name, priority, budget_s, deadline_s, trace, spec)
-      | _ -> None)
-    events
+  let decided = Hashtbl.create 8 in
+  List.fold_left
+    (fun acc event ->
+      match event with
+      | Client_gone _ -> acc
+      | (Accepted { job; _ } | Finished { job; _ }) when Hashtbl.mem decided job
+        ->
+          acc
+      | Finished { job; _ } ->
+          Hashtbl.replace decided job ();
+          acc
+      | Accepted { job; name; priority; budget_s; deadline_s; trace; spec } ->
+          Hashtbl.replace decided job ();
+          (job, name, priority, budget_s, deadline_s, trace, spec) :: acc)
+    [] (List.rev events)

@@ -8,11 +8,11 @@
     [client_gone] are written without an fsync: a lost [finished] only
     re-runs a job whose verdicts all replay from its own journal.  The
     next [accepted] fsync, or {!sync} at drain, makes them durable.
-    Restart recovery is
-    {!load} + {!pending}: accepted events with no finished record are
-    re-submitted from their persisted specs, and each job's own
-    campaign journal then replays whatever queries already settled —
-    no accepted job is ever lost, no settled verdict re-solved. *)
+    Restart recovery is {!load} + {!pending}: each job whose latest
+    acceptance has no finished record after it is re-submitted from
+    its persisted spec, and each job's own campaign journal then
+    replays whatever queries already settled — no accepted job is ever
+    lost, no settled verdict re-solved. *)
 
 module Json = Dpv_obs.Json
 
@@ -63,5 +63,8 @@ val pending :
   (string * string * int * float option * float option * string * Json.t)
   list
 (** [(job, name, priority, budget_s, deadline_s, trace, spec)] for
-    every accepted job with no finished event, in acceptance order —
-    the restart recovery work list. *)
+    every job whose latest [accepted] event has no [finished] event
+    after it, taken from that acceptance, in the order of those
+    acceptances — the restart recovery work list.  A job accepted
+    again after an earlier run finished (a resubmission) is pending
+    once, until its new run finishes. *)

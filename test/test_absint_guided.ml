@@ -7,7 +7,7 @@
      whole MILP Unbounded, and never claim Optimal afterwards.  The
      regression tests drive that path deterministically through the
      lp-unbounded fault site.
-   - DeepPoly transfers must survive degenerate inputs (overflowing
+   - The DeepPoly kernel must survive degenerate inputs (overflowing
      crossing intervals, non-finite batch-norm parameters) without
      producing unsound or NaN bounds.
    - DeepPoly under ReLU phase fixings must enclose every concrete
@@ -136,13 +136,35 @@ let test_genuinely_unbounded_root_unchanged () =
 
 (* ---- DeepPoly degenerate guards ----------------------------------- *)
 
+(* The kernel's output box for [net] over [box], each ReLU layer [l]
+   under [phases l] (all [Unknown] by default); [None] when a fixing
+   empties the region. *)
+let kernel_output ?phases net box =
+  let plan = Deeppoly.Resumable.plan net in
+  let st = Deeppoly.Resumable.create plan box in
+  let phases =
+    match phases with
+    | Some phases -> phases
+    | None ->
+        fun l ->
+          Array.make (Deeppoly.Resumable.layer_dim plan l) Deeppoly.Unknown
+  in
+  ignore (Deeppoly.Resumable.propagate st ~phases : int);
+  if Deeppoly.Resumable.last_empty st then None
+  else Some (Deeppoly.Resumable.output_box st)
+
+let single_layer layer = Network.create ~input_dim:1 [ layer ]
+
 let test_relu_overflowing_crossing_interval_sound () =
   (* u - l overflows to infinity for [-1e308, 1e308], which used to
      collapse the chord slope to 0 and report an upper bound near 0 —
      unsound, relu(1e308) = 1e308.  The guard falls back to the box
      relaxation [0, u]. *)
-  let t = Deeppoly.of_box [| Interval.make ~lo:(-1e308) ~hi:1e308 |] in
-  let out = Deeppoly.to_box (Deeppoly.transfer_layer Layer.Relu t) in
+  let out =
+    Option.get
+      (kernel_output (single_layer Layer.Relu)
+         [| Interval.make ~lo:(-1e308) ~hi:1e308 |])
+  in
   Alcotest.(check bool) "no NaN bounds" false
     (Float.is_nan out.(0).Interval.lo || Float.is_nan out.(0).Interval.hi);
   Alcotest.(check bool) "upper bound covers relu(1e308)" true
@@ -163,8 +185,12 @@ let batch_norm_with gamma =
 let test_batch_norm_nonfinite_scale_no_nan () =
   List.iter
     (fun gamma ->
-      let t = Deeppoly.of_box [| Interval.make ~lo:(-1.0) ~hi:1.0 |] in
-      let out = Deeppoly.to_box (Deeppoly.transfer_layer (batch_norm_with gamma) t) in
+      let out =
+        Option.get
+          (kernel_output
+             (single_layer (batch_norm_with gamma))
+             [| Interval.make ~lo:(-1.0) ~hi:1.0 |])
+      in
       let iv = out.(0) in
       Alcotest.(check bool)
         (Printf.sprintf "gamma=%h: bounds are not NaN" gamma)
@@ -177,20 +203,23 @@ let test_batch_norm_nonfinite_scale_no_nan () =
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_relu_fixed_contradiction_is_empty () =
-  let always_pos = Deeppoly.of_box [| Interval.make ~lo:1.0 ~hi:2.0 |] in
-  (match Deeppoly.transfer_relu_fixed [| Deeppoly.Inactive |] always_pos with
+  let fixed phase ~lo ~hi =
+    kernel_output
+      ~phases:(fun _ -> [| phase |])
+      (single_layer Layer.Relu)
+      [| Interval.make ~lo ~hi |]
+  in
+  (match fixed Deeppoly.Inactive ~lo:1.0 ~hi:2.0 with
   | None -> ()
   | Some _ -> Alcotest.fail "Inactive fixing on lo > 0 must be empty");
-  let always_neg = Deeppoly.of_box [| Interval.make ~lo:(-2.0) ~hi:(-1.0) |] in
-  (match Deeppoly.transfer_relu_fixed [| Deeppoly.Active |] always_neg with
+  (match fixed Deeppoly.Active ~lo:(-2.0) ~hi:(-1.0) with
   | None -> ()
   | Some _ -> Alcotest.fail "Active fixing on hi < 0 must be empty");
   (* The x = 0 boundary belongs to both phases: neither fixing may
      declare [0, 0] empty. *)
-  let zero = Deeppoly.of_box [| Interval.make ~lo:0.0 ~hi:0.0 |] in
   List.iter
     (fun phase ->
-      match Deeppoly.transfer_relu_fixed [| phase |] zero with
+      match fixed phase ~lo:0.0 ~hi:0.0 with
       | Some _ -> ()
       | None -> Alcotest.fail "x = 0 must stay feasible under either phase")
     [ Deeppoly.Active; Deeppoly.Inactive ]
@@ -258,21 +287,16 @@ let test_phased_propagation_encloses_executions () =
               phases ))
         phases_by_layer
     in
-    let t = ref (Deeppoly.of_box box) in
-    List.iteri
-      (fun idx layer ->
-        match layer with
-        | Layer.Relu -> (
-            match
-              Deeppoly.transfer_relu_fixed (List.assoc idx phases_by_layer) !t
-            with
-            | Some t' -> t := t'
-            | None ->
-                Alcotest.fail
-                  "fixings consistent with a concrete run reported empty")
-        | layer -> t := Deeppoly.transfer_layer layer !t)
-      (Network.layers net);
-    let bounds = Deeppoly.to_box !t in
+    let bounds =
+      match
+        kernel_output
+          ~phases:(fun l -> List.assoc (l - 1) phases_by_layer)
+          net box
+      with
+      | Some bounds -> bounds
+      | None ->
+          Alcotest.fail "fixings consistent with a concrete run reported empty"
+    in
     Array.iteri
       (fun i y ->
         Alcotest.(check bool)

@@ -1,15 +1,16 @@
 (* Incremental (resumable) DeepPoly propagation.
 
    The branch-and-bound guide's whole correctness argument is that
-   [Deeppoly.Resumable] is bit-identical to the immutable transfers: a
-   cached layer state IS what a from-scratch run would recompute, so
-   reusing it changes nothing — verdicts, node counts, prunes and
-   phase-fixes included.  These tests compare the two paths
-   bit-for-bit (Int64 payloads, not tolerances) on randomized networks
-   and randomized fixing sequences: extensions (a child fixes one more
-   phase), retractions (backtracking), full redraws (a work-steal
-   landing in an unrelated subtree), contradictory fixings (empty
-   regions) and degenerate float inputs. *)
+   [Deeppoly.Resumable] is bit-identical to the immutable transfers
+   kept in [Deeppoly_reference]: a cached layer state IS what a
+   from-scratch run would recompute, so reusing it changes nothing —
+   verdicts, node counts, prunes and phase-fixes included.  These
+   tests compare the two paths bit-for-bit (Int64 payloads, not
+   tolerances) on randomized networks and randomized fixing
+   sequences: extensions (a child fixes one more phase), retractions
+   (backtracking), full redraws (a work-steal landing in an unrelated
+   subtree), contradictory fixings (empty regions) and degenerate
+   float inputs. *)
 
 module Interval = Dpv_absint.Interval
 module Deeppoly = Dpv_absint.Deeppoly
@@ -76,24 +77,25 @@ let relu_layers net =
   |> List.filter_map (fun (l, layer) ->
          match layer with Layer.Relu -> Some l | _ -> None)
 
-(* Immutable reference: fold the original transfers under the same
+(* Immutable reference: fold the reference transfers under the same
    phase fixings, recording per-layer boxes until an empty region. *)
 let reference_propagate net box phase_of_layer =
+  let module R = Deeppoly_reference in
   let n = Network.num_layers net in
   let boxes = Array.make (n + 1) None in
-  let t = ref (Deeppoly.of_box box) in
-  boxes.(0) <- Some (Deeppoly.to_box !t);
+  let t = ref (R.of_box box) in
+  boxes.(0) <- Some (R.to_box !t);
   let empty = ref false in
   List.iteri
     (fun idx layer ->
       if not !empty then begin
         (match layer with
         | Layer.Relu -> (
-            match Deeppoly.transfer_relu_fixed (phase_of_layer (idx + 1)) !t with
+            match R.transfer_relu_fixed (phase_of_layer (idx + 1)) !t with
             | Some t' -> t := t'
             | None -> empty := true)
-        | layer -> t := Deeppoly.transfer_layer layer !t);
-        if not !empty then boxes.(idx + 1) <- Some (Deeppoly.to_box !t)
+        | layer -> t := R.transfer_layer layer !t);
+        if not !empty then boxes.(idx + 1) <- Some (R.to_box !t)
       end)
     (Network.layers net);
   (boxes, !empty)

@@ -240,8 +240,11 @@ let test_conv_training_reduces_loss () =
   Alcotest.(check bool) "loss drops 5x" true
     (history.Trainer.epoch_losses.(59) < history.Trainer.epoch_losses.(0) /. 5.0)
 
-let qcheck_conv_box_soundness =
-  QCheck.Test.make ~count:40 ~name:"box propagation sound through conv nets"
+let conv_soundness_of_domain domain =
+  QCheck.Test.make ~count:40
+    ~name:
+      (Printf.sprintf "%s propagation sound through conv nets"
+         (Propagate.domain_name domain))
     QCheck.small_int
     (fun seed ->
       let rng = Rng.create (seed + 410) in
@@ -250,7 +253,7 @@ let qcheck_conv_box_soundness =
           ~output_dim:2
       in
       let input_box = Box_domain.uniform ~dim:25 ~lo:0.0 ~hi:1.0 in
-      let bounds = Propagate.output_bounds Propagate.Box net ~input_box in
+      let bounds = Propagate.output_bounds domain net ~input_box in
       let sample_rng = Rng.create (seed + 411) in
       let ok = ref true in
       for _ = 1 to 10 do
@@ -261,6 +264,41 @@ let qcheck_conv_box_soundness =
           y
       done;
       !ok)
+
+(* The DeepPoly kernel lowers each Conv2d to dense once, when it plans
+   the network; the immutable reference lowers it at every visit.
+   Through two conv blocks and a ReLU head, over the whole image box
+   and over a narrow box around one image (where stable and crossing
+   ReLUs mix), every layer's bounds must agree bit for bit. *)
+let test_conv_deeppoly_matches_reference () =
+  let rng = Rng.create 412 in
+  let net =
+    Init.conv_net rng ~in_height:6 ~in_width:6 ~channels:[ 2; 3 ]
+      ~hidden:[ 5 ] ~output_dim:2
+  in
+  let image = Array.init 36 (fun _ -> Rng.float rng 1.0) in
+  List.iter
+    (fun (what, input_box) ->
+      let kernel = Propagate.all_layer_bounds Propagate.Deeppoly net ~input_box in
+      let reference =
+        Deeppoly_reference.propagate_all net
+          (Deeppoly_reference.of_box input_box)
+      in
+      Alcotest.(check int) (what ^ ": layer count") (Array.length reference)
+        (Array.length kernel);
+      Array.iteri
+        (fun l expected ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: layer %d bit-identical" what l)
+            true
+            (Box_domain.same_box expected kernel.(l)))
+        reference)
+    [
+      ("image box", Box_domain.uniform ~dim:36 ~lo:0.0 ~hi:1.0);
+      ( "narrow box",
+        Array.map (fun x -> Interval.make ~lo:(x -. 0.05) ~hi:(x +. 0.05)) image
+      );
+    ]
 
 let tests =
   [
@@ -276,5 +314,9 @@ let tests =
     Alcotest.test_case "conv net builder" `Quick test_conv_net_builder;
     Alcotest.test_case "conv serialize roundtrip" `Quick test_conv_serialize_roundtrip;
     Alcotest.test_case "conv training" `Quick test_conv_training_reduces_loss;
-    QCheck_alcotest.to_alcotest qcheck_conv_box_soundness;
+    QCheck_alcotest.to_alcotest (conv_soundness_of_domain Propagate.Box);
+    QCheck_alcotest.to_alcotest (conv_soundness_of_domain Propagate.Zonotope);
+    QCheck_alcotest.to_alcotest (conv_soundness_of_domain Propagate.Deeppoly);
+    Alcotest.test_case "conv deeppoly ≡ reference (bits)" `Quick
+      test_conv_deeppoly_matches_reference;
   ]

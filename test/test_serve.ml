@@ -200,6 +200,19 @@ let test_admission_close_drains () =
 
 let sample_spec = Json.Obj [ ("queries", Json.Arr []) ]
 
+(* [accepted; finished; accepted] for one job id: a resubmission of a
+   job that already ran once, killed before its second run finished. *)
+let resubmitted_events job spec =
+  let accepted ~name ~priority ~trace =
+    Joblog.Accepted
+      { job; name; priority; budget_s = None; deadline_s = None; trace; spec }
+  in
+  [
+    accepted ~name:"first" ~priority:2 ~trace:"t-first";
+    Joblog.Finished { job; exit_code = 0 };
+    accepted ~name:"again" ~priority:5 ~trace:"t-again";
+  ]
+
 let test_joblog_roundtrip_and_pending () =
   let dir = temp_dir "dpv-joblog" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -243,12 +256,23 @@ let test_joblog_roundtrip_and_pending () =
       Alcotest.(check string) "trace id round-trips" "t-aaa" trace;
       Alcotest.(check bool) "spec round-trips" true (spec = sample_spec)
   | _ -> Alcotest.fail "first event should be Accepted");
-  match Joblog.pending events with
+  (match Joblog.pending events with
   | [ ("bbb", "second", 0, None, Some d, trace, _) ] ->
       Alcotest.(check (float 1e-9)) "pending keeps the deadline" 30.0 d;
       Alcotest.(check string) "pending carries the trace id" "t-bbb" trace
   | p ->
-      Alcotest.failf "finished job must not be pending (got %d)" (List.length p)
+      Alcotest.failf "finished job must not be pending (got %d)" (List.length p));
+  (* The same job accepted again after its first run finished, then
+     killed mid-run: pending once, as its latest acceptance. *)
+  let path = Filename.concat dir "resubmitted.jsonl" in
+  List.iter (Joblog.append ~path) (resubmitted_events "aaa" sample_spec);
+  match Joblog.pending (ok (Joblog.load ~path)) with
+  | [ ("aaa", "again", 5, None, None, "t-again", _) ] -> ()
+  | p ->
+      Alcotest.failf
+        "a resubmitted unfinished job must be pending once, as accepted \
+         last (got %d)"
+        (List.length p)
 
 let test_joblog_torn_tail_dropped () =
   let dir = temp_dir "dpv-joblog" in
@@ -827,6 +851,33 @@ let test_serve_unpreparable_pending_job_fails () =
     (In_channel.with_open_bin journal In_channel.input_all);
   let _, _, failures = start () in
   Alcotest.(check int) "the next start fails nothing" 0 (List.length failures)
+
+(* A job that ran once, was resubmitted and was killed mid-run is
+   still owed its verdicts: its client holds an [accepted] frame for
+   the second run.  A start over that joblog recovers it. *)
+let test_serve_resubmitted_killed_job_recovered () =
+  let dir = temp_dir "dpv-serve" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let spec, parsed, prepared = Lazy.force pipeline in
+  let state_dir = Filename.concat dir "state" in
+  Unix.mkdir state_dir 0o755;
+  let path = Filename.concat state_dir "joblog.jsonl" in
+  List.iter (Joblog.append ~path)
+    (resubmitted_events "again"
+       (Json.Obj [ ("queries", Json.Arr [ query_obj "q" ]) ]));
+  let server =
+    Server.create
+      ~config:(Server.default_config ~state_dir)
+      ~perception:prepared.Workflow.perception
+      ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+  in
+  let recovered = Server.recovered server in
+  let failures = Server.recovery_failures server in
+  let listen_fd = Server.listen_unix ~path:(Filename.concat dir "dpv.sock") in
+  Server.request_drain server;
+  Server.serve server listen_fd;
+  Alcotest.(check int) "recovered 1" 1 recovered;
+  Alcotest.(check int) "no recovery failure" 0 (List.length failures)
 
 let test_serve_warm_cache_across_jobs () =
   with_server @@ fun _server ~sock ~state_dir:_ ->
@@ -1675,6 +1726,8 @@ let tests =
      test_serve_torn_joblog_tail_survives_restarts);
     ("serve: unpreparable pending job fails at start", `Slow,
      test_serve_unpreparable_pending_job_fails);
+    ("serve: resubmitted killed job is recovered", `Slow,
+     test_serve_resubmitted_killed_job_recovered);
     ("serve: warm cache across jobs", `Slow,
      test_serve_warm_cache_across_jobs);
     ("serve: setup mismatch refused", `Slow,
